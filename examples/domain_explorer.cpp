@@ -36,6 +36,10 @@
 /// The --lint gate is applied by *both* exploration engines (the same
 /// core::SignoffLint the flow runs), not just by the flow itself.
 ///
+/// Exit codes: 0 on success, 1 on bad arguments, 2 when the flow
+/// cannot implement the request (core::FlowError, e.g. a grid so fine
+/// that a domain tile overflows); the diagnosis goes to stderr.
+///
 /// Observability (see README "Observability"): --trace writes a
 /// Chrome/Perfetto trace of the whole run (flow phases + per-worker
 /// exploration lanes), --metrics a counters/gauges/histograms
@@ -163,8 +167,13 @@ int main(int argc, char** argv) {
               fopt.strategy == core::DomainStrategy::kCriticalityBands
                   ? "criticality bands"
                   : "regular grid");
-  const core::ImplementedDesign design =
-      core::RunImplementationFlow(std::move(op), lib, fopt);
+  core::ImplementedDesign design;
+  try {
+    design = core::RunImplementationFlow(std::move(op), lib, fopt);
+  } catch (const core::FlowError& e) {
+    std::fprintf(stderr, "domain_explorer: %s\n", e.what());
+    return 2;
+  }
   const auto stats = netlist::ComputeStats(design.op.nl, lib);
   std::printf(
       "implemented: %zu cells, %.3e mm^2 cell area, fclk %.2f GHz,\n"

@@ -627,14 +627,19 @@ lint::LintReport LintAccuracy(const gen::Operator& op, const QualitySpec& spec,
       // The accuracy mask zeroes LSB *prefixes*, so the meaningful
       // question per bit is incremental: does extending the zeroed
       // prefix from [0, i) to [0, i] fold anything beyond the port
-      // and its input register?
-      std::vector<netlist::ForcedValue> prefix;
-      std::size_t prev_constant = netlist::CaseAnalysis(op.nl, {}).num_constant();
+      // and its input register? Entry i of `prefixes` zeroes [0, i).
+      std::vector<std::vector<netlist::ForcedValue>> prefixes(1);
       for (int i = 0; i < bus.width(); ++i) {
-        prefix.push_back({bus.bits[static_cast<std::size_t>(i)], false});
-        const netlist::CaseAnalysis ca(op.nl, prefix);
-        const std::size_t extra = ca.num_constant() - prev_constant;
-        prev_constant = ca.num_constant();
+        std::vector<netlist::ForcedValue> next = prefixes.back();
+        next.push_back({bus.bits[static_cast<std::size_t>(i)], false});
+        prefixes.push_back(std::move(next));
+      }
+      const std::vector<netlist::CaseAnalysis> cas =
+          netlist::CaseAnalysis::Batch(op.nl, prefixes);
+      for (int i = 0; i < bus.width(); ++i) {
+        const std::size_t extra =
+            cas[static_cast<std::size_t>(i) + 1].num_constant() -
+            cas[static_cast<std::size_t>(i)].num_constant();
         if (extra > 2) continue;  // folds more than the port + its DFF
         if (reported++ < opt.max_diags_per_rule) {
           lint::Diagnostic d;
@@ -665,8 +670,13 @@ lint::LintReport LintAccuracy(const gen::Operator& op, const QualitySpec& spec,
   if (opt.RuleEnabled(lint::kRuleConstantOutput)) {
     ++rep.rules_run;
     int reported = 0, folded = 0;
-    for (int b : modes) {
-      const netlist::CaseAnalysis ca(op.nl, ModeForcedZeros(op, b));
+    std::vector<std::vector<netlist::ForcedValue>> forced;
+    for (const int b : modes) forced.push_back(ModeForcedZeros(op, b));
+    const std::vector<netlist::CaseAnalysis> cas =
+        netlist::CaseAnalysis::Batch(op.nl, forced);
+    for (std::size_t mi = 0; mi < modes.size(); ++mi) {
+      const int b = modes[mi];
+      const netlist::CaseAnalysis& ca = cas[mi];
       for (const netlist::Bus& ob : op.nl.output_buses()) {
         bool all_const = ob.width() > 0;
         for (netlist::NetId bit : ob.bits)

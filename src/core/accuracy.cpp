@@ -16,4 +16,12 @@ std::vector<netlist::ForcedValue> ForcedZeros(const gen::Operator& op,
   return forced;
 }
 
+std::vector<netlist::CaseAnalysis> ModeCaseAnalyses(
+    const gen::Operator& op, const std::vector<int>& bitwidths) {
+  std::vector<std::vector<netlist::ForcedValue>> forced;
+  forced.reserve(bitwidths.size());
+  for (const int bw : bitwidths) forced.push_back(ForcedZeros(op, bw));
+  return netlist::CaseAnalysis::Batch(op.nl, forced);
+}
+
 }  // namespace adq::core

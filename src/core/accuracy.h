@@ -22,6 +22,11 @@ namespace adq::core {
 std::vector<netlist::ForcedValue> ForcedZeros(const gen::Operator& op,
                                               int bitwidth);
 
+/// Case analysis of every mode in `bitwidths` (entry i for
+/// bitwidths[i]), all modes in one batch pass.
+std::vector<netlist::CaseAnalysis> ModeCaseAnalyses(
+    const gen::Operator& op, const std::vector<int>& bitwidths);
+
 /// Number of zeroed LSBs for a mode.
 inline int ZeroedLsbs(const gen::Operator& op, int bitwidth) {
   ADQ_CHECK(bitwidth >= 0 && bitwidth <= op.spec.data_width);

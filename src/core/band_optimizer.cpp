@@ -29,14 +29,13 @@ std::vector<double> AccuracyCriticality(
   // first — sharded across workers when asked — then fold serially in
   // ascending-bitwidth order.
   std::vector<sta::TimingAnalyzer::DetailedTiming> dts(sorted.size());
+  const std::vector<netlist::CaseAnalysis> cas = ModeCaseAnalyses(op, sorted);
   const int nthreads = util::ResolveNumThreads(num_threads);
   if (nthreads <= 1) {
     sta::TimingAnalyzer analyzer(nl, lib, loads);
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const netlist::CaseAnalysis ca(nl, ForcedZeros(op, sorted[i]));
+    for (std::size_t i = 0; i < sorted.size(); ++i)
       dts[i] = analyzer.AnalyzeDetailed(tech::CellLibrary::kVddNominal,
-                                        clock_ns, fbb, &ca);
-    }
+                                        clock_ns, fbb, &cas[i]);
   } else {
     util::ThreadPool pool(nthreads);
     std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
@@ -46,10 +45,9 @@ std::vector<double> AccuracyCriticality(
         [&](std::int64_t i, int w) {
           auto& a = analyzer[static_cast<std::size_t>(w)];
           if (!a) a = std::make_unique<sta::TimingAnalyzer>(nl, lib, loads);
-          const netlist::CaseAnalysis ca(
-              nl, ForcedZeros(op, sorted[static_cast<std::size_t>(i)]));
           dts[static_cast<std::size_t>(i)] = a->AnalyzeDetailed(
-              tech::CellLibrary::kVddNominal, clock_ns, fbb, &ca);
+              tech::CellLibrary::kVddNominal, clock_ns, fbb,
+              &cas[static_cast<std::size_t>(i)]);
         });
   }
 

@@ -65,6 +65,24 @@ void PutF64(std::string* s, double v) {
 
 }  // namespace
 
+ModeConstants BuildModeConstants(const ImplementedDesign& design,
+                                 const power::PowerModel& pmodel,
+                                 const std::vector<int>& bitwidths,
+                                 int activity_cycles, std::uint64_t seed,
+                                 sim::StimulusKind stimulus) {
+  ModeConstants mc;
+  if (bitwidths.empty()) return mc;
+  ADQ_TRACE_SCOPE("explore.mode_constants");
+  std::vector<int> mode_lsbs;
+  for (const int bw : bitwidths) mode_lsbs.push_back(ZeroedLsbs(design.op, bw));
+  const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
+      design.op, mode_lsbs, activity_cycles, seed, stimulus);
+  for (const sim::ActivityProfile& act : acts)
+    mc.energy_fj.push_back(pmodel.SwitchedEnergyPerCycleFj(act));
+  mc.case_analysis = ModeCaseAnalyses(design.op, bitwidths);
+  return mc;
+}
+
 store::StoreKey ExploreStoreKey(const ImplementedDesign& design) {
   const netlist::Netlist& nl = design.op.nl;
   std::string canon;
@@ -244,36 +262,10 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     }
   };
 
-  // Stage 1: per-mode constants. All bitwidths' activity profiles
-  // come from one bit-parallel simulation (one lane per accuracy
-  // mode), which also warms the process-wide activity cache; the
-  // remaining case analysis + switched energy are independent across
-  // bitwidths and stay on the pool.
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca(
-      bitwidths.size());
-  std::vector<double> energy_fj(bitwidths.size(), 0.0);
-  {
-    ADQ_TRACE_SCOPE("explore.mode_constants");
-    std::vector<int> mode_lsbs(bitwidths.size());
-    for (std::size_t i = 0; i < bitwidths.size(); ++i)
-      mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths[i]);
-    const std::vector<sim::ActivityProfile> acts =
-        sim::ExtractActivityBatch(design.op, mode_lsbs,
-                                  opt.activity_cycles, opt.seed,
-                                  opt.stimulus);
-    pool.ParallelFor(
-        static_cast<std::int64_t>(bitwidths.size()), 1,
-        [&](std::int64_t i, int w) {
-          name_lane(w);
-          const int bw = bitwidths[static_cast<std::size_t>(i)];
-          ca[static_cast<std::size_t>(i)] =
-              std::make_unique<const netlist::CaseAnalysis>(
-                  nl, ForcedZeros(design.op, bw));
-          energy_fj[static_cast<std::size_t>(i)] =
-              pmodel.SwitchedEnergyPerCycleFj(
-                  acts[static_cast<std::size_t>(i)]);
-        });
-  }
+  // Stage 1: per-mode constants.
+  const ModeConstants mc =
+      BuildModeConstants(design, pmodel, bitwidths, opt.activity_cycles,
+                         opt.seed, opt.stimulus);
 
   // Monotone-infeasibility table shared across shards, slot = lattice
   // index vi * |masks| + mi. A worker that proves (vdd, mask)
@@ -325,7 +317,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   std::vector<BatchChunk> chunks;
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = *ca[bi];
+    const netlist::CaseAnalysis& bca = mc.case_analysis[bi];
 
     ADQ_TRACE_SCOPE2("explore.bitwidth", std::to_string(bw));
     obs::ProgressReporter prog("explore bw=" + std::to_string(bw),
@@ -494,11 +486,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     // and batch width, so the result is bit-identical across both.
     ModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = energy_fj[bi];
+    mode.switched_energy_fj = mc.energy_fj[bi];
     for (std::size_t vi = 0; vi < nv; ++vi) {
       const double vdd = opt.vdds[vi];
       const double dyn_w = power::PowerModel::DynamicW(
-          energy_fj[bi], vdd, design.fclk_ghz());
+          mc.energy_fj[bi], vdd, design.fclk_ghz());
       for (std::size_t mi = 0; mi < nm; ++mi) {
         const PointRecord& r = rec[vi * nm + mi];
         ++result.stats.points_considered;

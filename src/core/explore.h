@@ -268,6 +268,26 @@ double MaskLeakageW(const power::PowerModel& pmodel,
                     const std::vector<double>& dom_weight, int ndom,
                     double vdd, tech::DomainMask mask);
 
+/// Per-mode constants of the optimization phase, stage 1 of both
+/// explorers: for each accuracy mode, the case analysis (which timing
+/// paths its zeroed LSBs disable) and the activity-annotated switched
+/// energy per cycle.
+struct ModeConstants {
+  std::vector<netlist::CaseAnalysis> case_analysis;  ///< per bitwidth
+  std::vector<double> energy_fj;                     ///< per bitwidth
+};
+
+/// Builds the ModeConstants of `bitwidths` with one bit-parallel
+/// activity simulation (sim::ExtractActivityBatch, which also warms the
+/// process-wide activity cache) and one all-mode case analysis
+/// (netlist::CaseAnalysis::Batch). ExploreDesignSpace and
+/// FrontierExplore both call it.
+ModeConstants BuildModeConstants(const ImplementedDesign& design,
+                                 const power::PowerModel& pmodel,
+                                 const std::vector<int>& bitwidths,
+                                 int activity_cycles, std::uint64_t seed,
+                                 sim::StimulusKind stimulus);
+
 /// Canonical persistent-store key of an implemented design: the full
 /// byte encoding of everything an STA verdict depends on — netlist
 /// structure (cell kinds, pin nets, drive strengths), extracted

@@ -6,10 +6,10 @@
 
 namespace adq::core {
 
-ImplementedDesign RunImplementationFlow(gen::Operator op,
-                                        const tech::CellLibrary& lib,
-                                        const FlowOptions& fopt) {
-  ADQ_TRACE_SCOPE("flow");
+namespace {
+
+ImplementedDesign Implement(gen::Operator op, const tech::CellLibrary& lib,
+                            const FlowOptions& fopt) {
   ImplementedDesign d;
   d.clock_ns = fopt.clock_ns > 0.0 ? fopt.clock_ns : op.spec.target_clock_ns;
   d.op = std::move(op);
@@ -175,6 +175,23 @@ ImplementedDesign RunImplementationFlow(gen::Operator op,
   // now including the registered-I/O constraint discipline.
   SignoffLint(d, lib, fopt.lint);
   return d;
+}
+
+}  // namespace
+
+ImplementedDesign RunImplementationFlow(gen::Operator op,
+                                        const tech::CellLibrary& lib,
+                                        const FlowOptions& fopt) {
+  ADQ_TRACE_SCOPE("flow");
+  const std::string name = op.spec.name;
+  try {
+    return Implement(std::move(op), lib, fopt);
+  } catch (const place::LegalizationOverflow& e) {
+    throw FlowError("cannot implement " + name + " on a " +
+                    fopt.grid.ToString() + " domain grid: " + e.what() +
+                    " (the domain tiles are too small for their cells; "
+                    "use a coarser grid or a lower utilization)");
+  }
 }
 
 void SignoffLint(const ImplementedDesign& d, const tech::CellLibrary& lib,

@@ -11,6 +11,9 @@
 /// A 1x1 grid degenerates to the plain (DVAS-comparable)
 /// implementation: no guardbands, a single bias domain.
 
+#include <stdexcept>
+#include <string>
+
 #include "gen/operator.h"
 #include "lint/lint.h"
 #include "opt/buffering.h"
@@ -80,7 +83,17 @@ struct ImplementedDesign {
   const std::vector<int>& domain_of() const { return partition.domain_of; }
 };
 
-/// Runs the full flow on (a copy of) the operator.
+/// Recoverable failure of the implementation flow: the request cannot
+/// be implemented as posed — e.g. a domain grid so fine that the
+/// cells of a tile overflow its rows — and the caller can retry with
+/// other options. Broken invariants still fail with CheckError.
+class FlowError : public std::runtime_error {
+ public:
+  explicit FlowError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Runs the full flow on (a copy of) the operator. Throws FlowError
+/// when a placement region overflows (place::LegalizationOverflow).
 ImplementedDesign RunImplementationFlow(gen::Operator op,
                                         const tech::CellLibrary& lib,
                                         const FlowOptions& opt = {});

@@ -226,34 +226,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   const int store_ctx =
       store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
 
-  // Mode constants: one bit-parallel activity extraction for all
-  // modes, per-mode case analysis + switched energy on the pool
-  // (identical to the exhaustive engine's stage 1).
-  std::vector<std::unique_ptr<const netlist::CaseAnalysis>> ca(
-      bitwidths.size());
-  std::vector<double> energy_fj(bitwidths.size(), 0.0);
-  if (!bitwidths.empty()) {
-    ADQ_TRACE_SCOPE("frontier.mode_constants");
-    std::vector<int> mode_lsbs(bitwidths.size());
-    for (std::size_t i = 0; i < bitwidths.size(); ++i)
-      mode_lsbs[i] = ZeroedLsbs(design.op, bitwidths[i]);
-    const std::vector<sim::ActivityProfile> acts =
-        sim::ExtractActivityBatch(design.op, mode_lsbs,
-                                  opt.activity_cycles, opt.seed,
-                                  opt.stimulus);
-    pool.ParallelFor(
-        static_cast<std::int64_t>(bitwidths.size()), 1,
-        [&](std::int64_t i, int w) {
-          name_lane(w);
-          const int bw = bitwidths[static_cast<std::size_t>(i)];
-          ca[static_cast<std::size_t>(i)] =
-              std::make_unique<const netlist::CaseAnalysis>(
-                  nl, ForcedZeros(design.op, bw));
-          energy_fj[static_cast<std::size_t>(i)] =
-              pmodel.SwitchedEnergyPerCycleFj(
-                  acts[static_cast<std::size_t>(i)]);
-        });
-  }
+  const ModeConstants mc =
+      BuildModeConstants(design, pmodel, bitwidths, opt.activity_cycles,
+                         opt.seed, opt.stimulus);
 
   // Branch order: most accuracy-critical domains first (they decide
   // feasibility highest in the tree). The criticality probe is
@@ -308,19 +283,19 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
 
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = *ca[bi];
+    const netlist::CaseAnalysis& bca = mc.case_analysis[bi];
     ADQ_TRACE_SCOPE2("frontier.bitwidth", std::to_string(bw));
 
     std::vector<double> dyn(nv);
     for (std::size_t vi = 0; vi < nv; ++vi)
-      dyn[vi] = power::PowerModel::DynamicW(energy_fj[bi], opt.vdds[vi],
+      dyn[vi] = power::PowerModel::DynamicW(mc.energy_fj[bi], opt.vdds[vi],
                                             design.fclk_ghz());
 
     std::map<PointKey, Verdict> verdicts;
     Incumbent inc;
     FrontierModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = energy_fj[bi];
+    mode.switched_energy_fj = mc.energy_fj[bi];
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     for (std::size_t vi = 0; vi < nv; ++vi)

@@ -21,13 +21,23 @@ std::vector<ModeYield> TimingYield(const ImplementedDesign& design,
   std::vector<double> dvth(static_cast<std::size_t>(opt.samples));
   for (double& d : dvth) d = rng.Gaussian(0.0, opt.sigma_vth_v);
 
+  std::vector<const ModeResult*> solved;
+  std::vector<int> bitwidths;
+  for (const ModeResult& m : result.modes)
+    if (m.has_solution) {
+      solved.push_back(&m);
+      bitwidths.push_back(m.bitwidth);
+    }
+  const std::vector<netlist::CaseAnalysis> cas =
+      ModeCaseAnalyses(design.op, bitwidths);
+
   std::vector<ModeYield> out;
-  for (const ModeResult& m : result.modes) {
-    if (!m.has_solution) continue;
+  for (std::size_t k = 0; k < solved.size(); ++k) {
+    const ModeResult& m = *solved[k];
+    const netlist::CaseAnalysis& ca = cas[k];
     ModeYield y;
     y.bitwidth = m.bitwidth;
     y.worst_wns_ns = std::numeric_limits<double>::infinity();
-    const netlist::CaseAnalysis ca(nl, ForcedZeros(design.op, m.bitwidth));
     std::vector<double> scales(nl.num_instances(), 1.0);
     int pass = 0;
     for (const double shift : dvth) {

@@ -99,10 +99,13 @@ VddIslandResult ExploreVddIslands(const ImplementedDesign& design,
   const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
       op_copy, mode_lsbs, opt.activity_cycles, opt.seed, opt.stimulus);
 
+  const std::vector<netlist::CaseAnalysis> cas =
+      ModeCaseAnalyses(op_copy, bitwidths);
+
   std::vector<double> scales(nl_v.num_instances(), 1.0);
   for (std::size_t bwi = 0; bwi < bitwidths.size(); ++bwi) {
     const int bw = bitwidths[bwi];
-    const netlist::CaseAnalysis ca(nl_v, ForcedZeros(op_copy, bw));
+    const netlist::CaseAnalysis& ca = cas[bwi];
     const sim::ActivityProfile& act = acts[bwi];
     // Per-domain switched energy at 1 V (driver's rail pays the net).
     std::vector<double> energy_fj(static_cast<std::size_t>(ndom), 0.0);

@@ -11,10 +11,16 @@
 /// per-net value in {0, 1, X}. Any net that resolves to a constant
 /// carries no transitions, so every timing arc touching it is dead.
 ///
+/// The propagation runs on the compiled netlist (compiled.h) in
+/// dual-rail form, one accuracy mode per word lane, so the all-mode
+/// analysis the design-space exploration needs is one pass, not one
+/// pass per mode.
+///
 /// Conservatism: iteration is bounded; a register value that cannot be
 /// proven stable stays X. Unproven constants only make timing more
 /// pessimistic (more active paths), never optimistic — the safe side.
 
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -35,8 +41,16 @@ struct ForcedValue {
 /// Result of case analysis over a netlist.
 class CaseAnalysis {
  public:
-  /// Propagates `forced` port constants to a fixpoint.
+  /// Propagates `forced` port constants to a fixpoint. The one-lane
+  /// case of Batch.
   CaseAnalysis(const Netlist& nl, const std::vector<ForcedValue>& forced);
+
+  /// Analyzes every mode (one set of forced port constants each) in
+  /// one pass over the compiled netlist, 64 modes per word lane. Entry
+  /// i is identical — values, num_constant() and fingerprint() — to
+  /// CaseAnalysis(nl, modes[i]).
+  static std::vector<CaseAnalysis> Batch(
+      const Netlist& nl, std::span<const std::vector<ForcedValue>> modes);
 
   LogicV Value(NetId n) const { return values_[n.index()]; }
   bool IsConstant(NetId n) const { return Value(n) != LogicV::kX; }
@@ -57,10 +71,25 @@ class CaseAnalysis {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
+  explicit CaseAnalysis(std::vector<LogicV> values);
+
   std::vector<LogicV> values_;
   std::size_t num_constant_ = 0;
   std::uint64_t fingerprint_ = 0;
 };
+
+/// Every lane's value of one net as two words: bit l of `can0` (of
+/// `can1`) is set when the net can be 0 (can be 1) in lane l. So 0 is
+/// (1, 0), 1 is (0, 1) and X is (1, 1); (0, 0) never occurs.
+struct DualRail {
+  std::uint64_t can0 = ~0ULL;
+  std::uint64_t can1 = ~0ULL;
+};
+
+/// Evaluates one combinational cell on dual-rail words with the exact
+/// per-kind formula Batch runs: lane l of the outputs equals Evaluate3
+/// on lane l of the inputs. Exposed for testing.
+void EvaluateDualRail(tech::CellKind kind, const DualRail* in, DualRail* out);
 
 /// Evaluates one cell in three-valued logic by enumerating the X
 /// inputs: returns a constant only if every completion agrees.

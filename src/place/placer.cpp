@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <sstream>
 
 namespace adq::place {
 
@@ -241,10 +242,12 @@ std::vector<Point> LegalizeRows(const Netlist& nl,
   std::vector<Point> out;
   const bool ok = TryLegalizeRows(nl, lib, target, movable, x_lo, x_hi,
                                   y_lo, y_hi, row_height_um, &out);
-  ADQ_CHECK_MSG(ok,
-                "legalization overflow: cell area exceeds row capacity in ["
-                    << x_lo << ", " << x_hi << "] x [" << y_lo << ", "
-                    << y_hi << "]");
+  if (!ok) {
+    std::ostringstream os;
+    os << "legalization overflow: cell area exceeds row capacity in ["
+       << x_lo << ", " << x_hi << "] x [" << y_lo << ", " << y_hi << "]";
+    throw LegalizationOverflow(os.str());
+  }
   return out;
 }
 

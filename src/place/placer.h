@@ -11,6 +11,8 @@
 /// deterministic, and good enough to give wirelength and locality the
 /// right trends.
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -41,11 +43,21 @@ Placement PlaceDesign(const netlist::Netlist& nl,
                       const tech::CellLibrary& lib,
                       const PlacerOptions& opt = {});
 
+/// The cells of a region exceed its row capacity. It follows from the
+/// requested floorplan (e.g. a domain grid too fine for the design),
+/// not from a broken invariant, so callers may recover from it.
+class LegalizationOverflow : public std::runtime_error {
+ public:
+  explicit LegalizationOverflow(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
 /// Legalizes arbitrary target positions into rows of `fp` (Tetris:
 /// cells sorted by x, greedily assigned to the feasible row slot with
 /// minimum displacement). Exposed for the incremental-placement step.
 /// `row_offset_um`/`x_offset_um` shift the legal area inside the die
 /// (used to legalize into one domain tile of a partitioned die).
+/// Throws LegalizationOverflow when the cells do not fit.
 std::vector<Point> LegalizeRows(
     const netlist::Netlist& nl, const tech::CellLibrary& lib,
     const std::vector<Point>& target, const std::vector<bool>& movable,

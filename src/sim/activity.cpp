@@ -178,7 +178,7 @@ std::vector<ActivityProfile> RunPackedChunk(
     }
   }
 
-  PackedLogicSim sim(nl);
+  PackedLogicSim sim(nl, static_cast<int>(lanes));
   sim.Reset();
   for (int t = 0; t < cycles; ++t) {
     for (std::size_t i = 0; i < streams.size(); ++i) {

@@ -8,18 +8,19 @@
 
 namespace adq::sim {
 
-using netlist::InstId;
 using netlist::NetId;
 
-PackedLogicSim::PackedLogicSim(const netlist::Netlist& nl)
+PackedLogicSim::PackedLogicSim(const netlist::Netlist& nl, int live_lanes)
     : nl_(nl),
+      compiled_(nl),
+      live_lanes_(live_lanes),
       values_(nl.num_nets(), 0),
       prev_values_(nl.num_nets(), 0),
+      block_(static_cast<std::size_t>(kBlockPlanes) * nl.num_nets(), 0),
       planes_(static_cast<std::size_t>(kCounterPlanes) * nl.num_nets(), 0),
-      lane_toggles_(nl.num_nets() * kLanes, 0) {
-  for (const InstId id : netlist::TopologicalOrder(nl)) {
-    if (!nl.inst(id).is_sequential()) order_.push_back(id);
-  }
+      lane_toggles_(nl.num_nets() * static_cast<std::size_t>(live_lanes),
+                    0) {
+  ADQ_CHECK(live_lanes >= 1 && live_lanes <= kLanes);
   Settle();
 }
 
@@ -44,84 +45,137 @@ void PackedLogicSim::SetBus(const netlist::Bus& bus,
 }
 
 void PackedLogicSim::Settle() {
-  std::uint64_t in[tech::kMaxCellInputs];
-  std::uint64_t out[tech::kMaxCellOutputs];
-  for (const InstId id : order_) {
-    const netlist::Instance& inst = nl_.inst(id);
-    const int n_in = inst.num_inputs();
-    ADQ_DCHECK(n_in <= tech::kMaxCellInputs);
-    ADQ_DCHECK(inst.num_outputs() <= tech::kMaxCellOutputs);
-    for (int p = 0; p < n_in; ++p) in[p] = values_[inst.in[p].index()];
-    tech::EvaluateWord(inst.kind, in, out);
-    for (int o = 0; o < inst.num_outputs(); ++o)
-      values_[inst.out[o].index()] = out[o];
-  }
+  netlist::EvaluateWords(compiled_.comb(), values_.data());
 }
 
 void PackedLogicSim::Tick() {
   static obs::Counter& ticks = obs::GetCounter("sim.packed_ticks");
   ticks.Add();
   // Mirror LogicSim::Tick: settle D pins, clock edge, settle anew.
-  Settle();
-  for (const netlist::Instance& inst : nl_.instances()) {
-    if (!inst.is_sequential()) continue;
-    values_[inst.out[0].index()] = values_[inst.in[0].index()];
-  }
+  // Only the inputs changed since the last full settle, so settling
+  // the D pins needs just the inputs' combinational fan-out. Q <= D
+  // runs in instance order, exactly as LogicSim does.
+  netlist::EvaluateWords(compiled_.input_fanout(), values_.data());
+  for (const netlist::RegisterPins& r : compiled_.registers())
+    values_[r.q] = values_[r.d];
   Settle();
 
   // Per-lane cycle-based activity between consecutive post-edge
-  // steady states, accumulated into the bit-sliced counter planes.
+  // steady states, added into the block counter with a fixed
+  // three-plane carry chain (integer ops, bit-exact).
+  static_assert(kBlockPlanes == 3, "the carry chain below has 3 planes");
+  const std::size_t n_nets = values_.size();
   if (have_prev_) {
-    if (pending_ == kFlushPeriod) FlushCounters();
-    const std::size_t n_nets = values_.size();
-    // Ripple-carry the toggle words of U64::kWidth adjacent nets into
-    // the counter planes at once; the carry chain dies as soon as no
-    // net in the group still carries (integer ops, bit-exact).
+    if (block_pending_ == kBlockTicks) DrainBlock();
+    std::uint64_t* const b0 = block_.data();
+    std::uint64_t* const b1 = b0 + n_nets;
+    std::uint64_t* const b2 = b1 + n_nets;
     std::size_t n = 0;
     for (; n + simd::U64::kWidth <= n_nets; n += simd::U64::kWidth) {
-      simd::U64 x = simd::Xor(simd::U64::Load(&values_[n]),
-                              simd::U64::Load(&prev_values_[n]));
-      for (std::size_t p = 0; simd::AnyNonZero(x); ++p) {
-        ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
-        std::uint64_t* w = &planes_[p * n_nets + n];
-        const simd::U64 wv = simd::U64::Load(w);
-        const simd::U64 carry = simd::And(wv, x);
-        simd::Xor(wv, x).Store(w);
-        x = carry;
-      }
+      const simd::U64 v = simd::U64::Load(&values_[n]);
+      const simd::U64 x = simd::Xor(v, simd::U64::Load(&prev_values_[n]));
+      v.Store(&prev_values_[n]);
+      const simd::U64 p0 = simd::U64::Load(b0 + n);
+      const simd::U64 c0 = simd::And(p0, x);
+      simd::Xor(p0, x).Store(b0 + n);
+      const simd::U64 p1 = simd::U64::Load(b1 + n);
+      const simd::U64 c1 = simd::And(p1, c0);
+      simd::Xor(p1, c0).Store(b1 + n);
+      simd::Xor(simd::U64::Load(b2 + n), c1).Store(b2 + n);
     }
     for (; n < n_nets; ++n) {
-      std::uint64_t x = values_[n] ^ prev_values_[n];
-      for (std::size_t p = 0; x; ++p) {
-        ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
-        std::uint64_t& w = planes_[p * n_nets + n];
-        const std::uint64_t carry = w & x;
-        w ^= x;
-        x = carry;
-      }
+      const std::uint64_t x = values_[n] ^ prev_values_[n];
+      prev_values_[n] = values_[n];
+      const std::uint64_t c0 = b0[n] & x;
+      b0[n] ^= x;
+      const std::uint64_t c1 = b1[n] & c0;
+      b1[n] ^= c0;
+      b2[n] ^= c1;
     }
-    ++pending_;
+    ++block_pending_;
     ++cycles_;
+  } else {
+    prev_values_ = values_;
   }
-  prev_values_ = values_;
   have_prev_ = true;
 }
 
 void PackedLogicSim::Reset() {
-  for (const netlist::Instance& inst : nl_.instances()) {
-    if (inst.is_sequential()) values_[inst.out[0].index()] = 0;
-  }
+  for (const netlist::RegisterPins& r : compiled_.registers())
+    values_[r.q] = 0;
+  std::fill(block_.begin(), block_.end(), 0);
   std::fill(planes_.begin(), planes_.end(), 0);
   std::fill(lane_toggles_.begin(), lane_toggles_.end(), 0);
+  block_pending_ = 0;
   pending_ = 0;
   cycles_ = 0;
   have_prev_ = false;
   Settle();
 }
 
-void PackedLogicSim::FlushCounters() const {
+void PackedLogicSim::DrainBlock() const {
+  if (block_pending_ == 0) return;
+  if (pending_ + block_pending_ > kFlushPeriod) FlushPlanes();
+  const std::size_t n_nets = values_.size();
+  const auto at = [n_nets](std::size_t p, std::size_t n) {
+    return p * n_nets + n;
+  };
+  constexpr auto kBlock = static_cast<std::size_t>(kBlockPlanes);
+  // Bit-sliced add of the block planes into the counter planes,
+  // U64::kWidth adjacent nets at a time; the carry out of the block's
+  // top plane ripples on until no net in the group still carries.
+  // Groups whose block is all zero (quiet nets) are skipped.
+  std::size_t n = 0;
+  for (; n + simd::U64::kWidth <= n_nets; n += simd::U64::kWidth) {
+    simd::U64 x[kBlock];
+    simd::U64 any = simd::U64::Broadcast(0);
+    for (std::size_t p = 0; p < kBlock; ++p) {
+      x[p] = simd::U64::Load(&block_[at(p, n)]);
+      any = simd::Or(any, x[p]);
+    }
+    if (!simd::AnyNonZero(any)) continue;
+    simd::U64 carry = simd::U64::Broadcast(0);
+    for (std::size_t p = 0; p < kBlock; ++p) {
+      const simd::U64 a = simd::U64::Load(&planes_[at(p, n)]);
+      const simd::U64 ax = simd::Xor(a, x[p]);
+      simd::Xor(ax, carry).Store(&planes_[at(p, n)]);
+      carry = simd::Or(simd::And(a, x[p]), simd::And(carry, ax));
+      simd::U64::Broadcast(0).Store(&block_[at(p, n)]);
+    }
+    for (std::size_t p = kBlock; simd::AnyNonZero(carry); ++p) {
+      ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
+      const simd::U64 a = simd::U64::Load(&planes_[at(p, n)]);
+      simd::Xor(a, carry).Store(&planes_[at(p, n)]);
+      carry = simd::And(a, carry);
+    }
+  }
+  for (; n < n_nets; ++n) {
+    std::uint64_t carry = 0;
+    for (std::size_t p = 0; p < kBlock; ++p) {
+      std::uint64_t& x = block_[at(p, n)];
+      std::uint64_t& w = planes_[at(p, n)];
+      const std::uint64_t ax = w ^ x;
+      const std::uint64_t carry_out = (w & x) | (carry & ax);
+      w = ax ^ carry;
+      carry = carry_out;
+      x = 0;
+    }
+    for (std::size_t p = kBlock; carry; ++p) {
+      ADQ_DCHECK(p < static_cast<std::size_t>(kCounterPlanes));
+      std::uint64_t& w = planes_[at(p, n)];
+      const std::uint64_t c = w & carry;
+      w ^= carry;
+      carry = c;
+    }
+  }
+  pending_ += block_pending_;
+  block_pending_ = 0;
+}
+
+void PackedLogicSim::FlushPlanes() const {
   if (pending_ == 0) return;
   const std::size_t n_nets = values_.size();
+  const auto live = static_cast<std::size_t>(live_lanes_);
   for (std::size_t n = 0; n < n_nets; ++n) {
     std::uint64_t any = 0;
     for (int p = 0; p < kCounterPlanes; ++p)
@@ -137,7 +191,7 @@ void PackedLogicSim::FlushCounters() const {
         kGroup >= 64 ? ~0ull : ((1ull << kGroup) - 1ull);
     const simd::U64 one = simd::U64::Broadcast(1);
     int l = 0;
-    for (; l + kGroup <= kLanes; l += kGroup) {
+    for (; l + kGroup <= live_lanes_; l += kGroup) {
       if (!((any >> l) & group_bits)) continue;
       const simd::U64 shifts =
           simd::U64::Iota(static_cast<std::uint64_t>(l));
@@ -151,23 +205,27 @@ void PackedLogicSim::FlushCounters() const {
                       one);
         cnt = simd::Or(cnt, simd::Shl(bits, p));
       }
-      std::uint64_t* t =
-          &lane_toggles_[n * kLanes + static_cast<std::size_t>(l)];
+      std::uint64_t* t = &lane_toggles_[n * live + static_cast<std::size_t>(l)];
       simd::Add(simd::U64::Load(t), cnt).Store(t);
     }
-    for (; l < kLanes; ++l) {
+    for (; l < live_lanes_; ++l) {
       if (!((any >> l) & 1ULL)) continue;
       std::uint64_t c = 0;
       for (int p = 0; p < kCounterPlanes; ++p)
         c |= ((planes_[static_cast<std::size_t>(p) * n_nets + n] >> l) &
               1ULL)
              << p;
-      lane_toggles_[n * kLanes + static_cast<std::size_t>(l)] += c;
+      lane_toggles_[n * live + static_cast<std::size_t>(l)] += c;
     }
     for (int p = 0; p < kCounterPlanes; ++p)
       planes_[static_cast<std::size_t>(p) * n_nets + n] = 0;
   }
   pending_ = 0;
+}
+
+void PackedLogicSim::FlushCounters() const {
+  DrainBlock();
+  FlushPlanes();
 }
 
 std::uint64_t PackedLogicSim::ReadBus(const netlist::Bus& bus,
@@ -181,18 +239,18 @@ std::uint64_t PackedLogicSim::ReadBus(const netlist::Bus& bus,
 }
 
 std::uint64_t PackedLogicSim::Toggles(NetId net, int lane) const {
-  ADQ_DCHECK(lane >= 0 && lane < kLanes);
+  ADQ_DCHECK(lane >= 0 && lane < live_lanes_);
   FlushCounters();
-  return lane_toggles_[net.index() * kLanes +
+  return lane_toggles_[net.index() * static_cast<std::size_t>(live_lanes_) +
                        static_cast<std::size_t>(lane)];
 }
 
 std::uint64_t PackedLogicSim::TotalToggles(NetId net) const {
   FlushCounters();
+  const auto live = static_cast<std::size_t>(live_lanes_);
   std::uint64_t total = 0;
-  for (int l = 0; l < kLanes; ++l)
-    total += lane_toggles_[net.index() * kLanes +
-                           static_cast<std::size_t>(l)];
+  for (std::size_t l = 0; l < live; ++l)
+    total += lane_toggles_[net.index() * live + l];
   return total;
 }
 

@@ -105,5 +105,22 @@ TEST(Flow, GuardbandOverheadInPlausibleBand) {
   EXPECT_LT(d.partition.area_overhead(), 0.35);
 }
 
+TEST(Flow, TileOverflowIsARecoverableFlowError) {
+  // 48 domains leave each Butterfly tile too few rows for its cells:
+  // the flow must report it, not fail a check.
+  FlowOptions fopt;
+  fopt.grid = {16, 3};
+  try {
+    RunImplementationFlow(gen::BuildButterflyOperator(16), Lib(), fopt);
+    FAIL() << "expected FlowError";
+  } catch (const FlowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("butterfly16"), std::string::npos) << what;
+    EXPECT_NE(what.find("16x3"), std::string::npos) << what;
+    EXPECT_NE(what.find("legalization overflow"), std::string::npos)
+        << what;
+  }
+}
+
 }  // namespace
 }  // namespace adq::core
