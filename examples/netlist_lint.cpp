@@ -14,7 +14,9 @@
 /// ST001) are checked too. --json writes the machine-readable report.
 ///
 /// Exit status: 0 lint-clean (no errors; warnings allowed),
-///              1 lint errors found, 2 usage / internal failure.
+///              1 lint errors found, 2 usage / internal failure
+///              (including a flow that cannot implement the request,
+///              core::FlowError; the diagnosis goes to stderr).
 
 #include <cstdio>
 #include <cstring>
@@ -109,8 +111,13 @@ int main(int argc, char** argv) {
     core::FlowOptions fopt;
     fopt.grid = grid;
     fopt.lint = lint::LintGate::kOff;  // this tool is the reporter
-    const core::ImplementedDesign d =
-        core::RunImplementationFlow(std::move(op), lib, fopt);
+    core::ImplementedDesign d;
+    try {
+      d = core::RunImplementationFlow(std::move(op), lib, fopt);
+    } catch (const core::FlowError& e) {
+      std::fprintf(stderr, "netlist_lint: %s\n", e.what());
+      return 2;
+    }
     rep = lint::LintNetlist(d.op.nl, lopt);
     lint::FlowArtifacts art;
     art.placement = &d.placement;

@@ -13,7 +13,6 @@
 #include "analysis/analysis.h"
 #include "core/accuracy.h"
 #include "obs/obs.h"
-#include "sta/incremental.h"
 #include "sta/sta.h"
 #include "util/thread_pool.h"
 
@@ -206,12 +205,8 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
   const std::vector<int>& domain_of = design.domain_of();
-  const bool incremental = opt.sta_engine == StaEngine::kIncremental;
-  std::size_t batch_width =
+  const std::size_t batch_width =
       static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
-  // The incremental engine tracks dirty lanes in 64-bit sets.
-  if (incremental)
-    batch_width = std::min(batch_width, sta::IncrementalSta::kMaxLanes);
   // Recorded infeasible points need their computed wns_ns, so the
   // dominance prune (which never computes one) must stand down.
   const bool mask_prune = opt.mask_pruning && !opt.keep_all_points;
@@ -228,10 +223,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   const int store_ctx =
       store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
 
-  // Per-worker STA contexts: the analyzer reuses per-net scratch, so
-  // each worker owns an analyzer over the shared read-only netlist.
-  // Created lazily by the first point a worker claims (also spreading
-  // the construction cost across the pool).
+  // Per-worker STA contexts: the analyzer reuses per-net scratch and
+  // caches its levelization, delay tables and sweep schedules across
+  // chunks, so each worker owns an analyzer over the shared read-only
+  // netlist. Created lazily by the first point a worker claims (also
+  // spreading the construction cost across the pool).
   std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
       static_cast<std::size_t>(nworkers));
   auto worker_analyzer = [&](int w) -> sta::TimingAnalyzer& {
@@ -240,17 +236,6 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
       a = std::make_unique<sta::TimingAnalyzer>(nl, lib, design.loads);
     return *a;
   };
-  // Incremental engines carry arrival state from chunk to chunk, so
-  // they are per-worker for the same reason the analyzers are.
-  std::vector<std::unique_ptr<sta::IncrementalSta>> inc_engine(
-      static_cast<std::size_t>(nworkers));
-  auto worker_incremental = [&](int w) -> sta::IncrementalSta& {
-    auto& e = inc_engine[static_cast<std::size_t>(w)];
-    if (!e)
-      e = std::make_unique<sta::IncrementalSta>(nl, lib, design.loads);
-    return *e;
-  };
-
   // Lane naming for the trace viewer: each pool thread registers its
   // stable worker index once (worker 0 is the calling thread).
   auto name_lane = [](int w) {
@@ -386,34 +371,6 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           lane_mi.push_back(mi);
           lane_masks.push_back(masks[mi]);
         }
-        // Delta schedule for the incremental engine: greedily chain
-        // the row's surviving masks by Hamming adjacency, so each
-        // lane differs from its predecessor in few domains and the
-        // engine's dirty cones stay small. Runs in this serial phase
-        // and is a pure function of the surviving set (deterministic
-        // nearest-neighbor with smallest-mi tie-break), so the chunk
-        // contents — and therefore results, which are slot-addressed
-        // and merged in lattice order — are identical at every thread
-        // count. O(n^2) greedy, so bounded; rows beyond the bound keep
-        // the ascending-mi order (correct, just less local).
-        constexpr std::size_t kMaxDeltaSort = 4096;
-        const std::size_t row_end = lane_mi.size();
-        if (incremental && row_end - row_begin > 2 &&
-            row_end - row_begin <= kMaxDeltaSort) {
-          for (std::size_t a = row_begin + 1; a + 1 < row_end; ++a) {
-            std::size_t best = a;
-            int best_d = std::popcount(lane_masks[a - 1] ^ lane_masks[a]);
-            for (std::size_t b = a + 1; b < row_end; ++b) {
-              const int d = std::popcount(lane_masks[a - 1] ^ lane_masks[b]);
-              if (d < best_d || (d == best_d && lane_mi[b] < lane_mi[best])) {
-                best_d = d;
-                best = b;
-              }
-            }
-            std::swap(lane_masks[a], lane_masks[best]);
-            std::swap(lane_mi[a], lane_mi[best]);
-          }
-        }
         for (std::size_t c = row_begin; c < lane_mi.size();
              c += batch_width)
           chunks.push_back(
@@ -433,13 +390,8 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
             const std::span<const tech::DomainMask> chunk_masks(
                 lane_masks.data() + c.begin, c.count);
             const std::vector<sta::TimingReport> reps =
-                incremental
-                    ? worker_incremental(w).AnalyzeBatch(
-                          vdd, design.clock_ns, chunk_masks, domain_of,
-                          &bca)
-                    : worker_analyzer(w).AnalyzeBatch(
-                          vdd, design.clock_ns, chunk_masks, domain_of,
-                          &bca);
+                worker_analyzer(w).AnalyzeBatch(vdd, design.clock_ns,
+                                                chunk_masks, domain_of, &bca);
             for (std::size_t l = 0; l < c.count; ++l) {
               const std::size_t mi = lane_mi[c.begin + l];
               const std::size_t slot = c.vi * nm + mi;
@@ -541,24 +493,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
 
     if (opt.enable_rbb_sleep && mode.has_solution) {
       std::vector<BiasState> bias(nl.num_instances());
-      // The sleep pass needs a scalar Analyze; reuse the incremental
-      // engine's oracle instead of constructing a second analyzer.
-      sta::TimingAnalyzer& scalar =
-          incremental ? worker_incremental(0).oracle() : worker_analyzer(0);
-      RbbSleepPass(design, pmodel, dom_weight, scalar, bca, bias, mode,
-                   result.stats);
+      RbbSleepPass(design, pmodel, dom_weight, worker_analyzer(0), bca,
+                   bias, mode, result.stats);
     }
 
     result.modes.push_back(mode);
-  }
-
-  // Fold the per-worker engine telemetry (schedule-dependent at
-  // num_threads > 1; see ExplorationStats).
-  for (const auto& e : inc_engine) {
-    if (!e) continue;
-    result.stats.sta_incremental_hits += e->stats().incremental_hits;
-    result.stats.sta_full_fallbacks += e->stats().full_fallbacks;
-    result.stats.sta_dispatch_dense += e->stats().dispatch_dense;
   }
   return result;
 }
@@ -580,12 +519,6 @@ void RecordExploreMetrics(const ExplorationResult& r, double seconds) {
   obs::GetCounter("explore.static_mode_prunes")
       .Add(r.stats.static_mode_prunes);
   obs::GetCounter("explore.feasible").Add(r.stats.feasible);
-  obs::GetCounter("explore.sta_incremental_hits")
-      .Add(r.stats.sta_incremental_hits);
-  obs::GetCounter("explore.sta_full_fallbacks")
-      .Add(r.stats.sta_full_fallbacks);
-  obs::GetCounter("explore.sta_dispatch_dense")
-      .Add(r.stats.sta_dispatch_dense);
   obs::GetGauge("explore.wall_s").Add(seconds);
   if (seconds > 0.0)
     obs::GetGauge("explore.points_per_sec")

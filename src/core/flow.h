@@ -93,7 +93,8 @@ class FlowError : public std::runtime_error {
 };
 
 /// Runs the full flow on (a copy of) the operator. Throws FlowError
-/// when a placement region overflows (place::LegalizationOverflow).
+/// when a placement region overflows or the domain grid has more rows
+/// than the die (place::LegalizationOverflow).
 ImplementedDesign RunImplementationFlow(gen::Operator op,
                                         const tech::CellLibrary& lib,
                                         const FlowOptions& opt = {});

@@ -9,9 +9,6 @@
 ///
 ///   Environment   ADQ_TRACE=<file>    enable tracing, dump on Flush
 ///                 ADQ_METRICS=<file>  enable metrics, dump on Flush
-///                 ADQ_METRICS_INTERVAL_MS=<ms>  periodic snapshot
-///                                     pump to the metrics file (see
-///                                     openmetrics.h)
 ///                 ADQ_PROFILE=<file>  sampling profiler, folded
 ///                                     stacks dumped on Flush
 ///                 ADQ_PROFILE_HZ=<n>  sampling rate (default 997)
@@ -46,13 +43,12 @@ struct Options {
   std::string metrics_path;  ///< empty = no metrics dump on Flush
   std::string profile_path;  ///< empty = sampling profiler off
   int profile_hz = 997;      ///< sampling rate when profiling
-  int metrics_interval_ms = 0;  ///< >0 = periodic snapshot pump
   bool enable_metrics = false;  ///< collect even without a dump path
   bool enable_progress = false;
 };
 
-/// Reads ADQ_TRACE / ADQ_METRICS / ADQ_METRICS_INTERVAL_MS /
-/// ADQ_PROFILE / ADQ_PROFILE_HZ / ADQ_PROGRESS.
+/// Reads ADQ_TRACE / ADQ_METRICS / ADQ_PROFILE / ADQ_PROFILE_HZ /
+/// ADQ_PROGRESS.
 Options OptionsFromEnv();
 
 /// Consumes one obs flag (--trace=, --metrics=, --profile=,

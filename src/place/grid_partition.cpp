@@ -186,7 +186,10 @@ GridPartition MakePartition(const Netlist& nl, const tech::CellLibrary& lib,
                             double guardband_um) {
   // Regular grid: placement rows distributed as evenly as possible.
   const int rows = pl.fp.num_rows();
-  ADQ_CHECK_MSG(rows >= cfg.ny, "more domain rows than placement rows");
+  if (rows < cfg.ny)
+    throw LegalizationOverflow(std::to_string(cfg.ny) +
+                               " domain rows exceed the die's " +
+                               std::to_string(rows) + " placement rows");
   std::vector<int> band_rows(static_cast<std::size_t>(cfg.ny),
                              rows / cfg.ny);
   for (int r = 0; r < rows % cfg.ny; ++r)

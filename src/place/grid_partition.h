@@ -58,7 +58,9 @@ struct GridPartition {
 /// to whole placement rows. Tiles whose local cell density exceeds
 /// their row capacity shed boundary cells to adjacent tiles (the
 /// density rebalancing a real incremental placer performs), so the
-/// subsequent per-tile legalization always succeeds.
+/// subsequent per-tile legalization always succeeds. Throws
+/// LegalizationOverflow when the grid has more domain rows than the
+/// die has placement rows.
 GridPartition MakePartition(const netlist::Netlist& nl,
                             const tech::CellLibrary& lib,
                             const Placement& pl, GridConfig cfg,

@@ -43,9 +43,10 @@ Placement PlaceDesign(const netlist::Netlist& nl,
                       const tech::CellLibrary& lib,
                       const PlacerOptions& opt = {});
 
-/// The cells of a region exceed its row capacity. It follows from the
-/// requested floorplan (e.g. a domain grid too fine for the design),
-/// not from a broken invariant, so callers may recover from it.
+/// The cells of a region exceed its row capacity, or a domain grid
+/// has more rows than the die. It follows from the requested
+/// floorplan (e.g. a domain grid too fine for the design), not from a
+/// broken invariant, so callers may recover from it.
 class LegalizationOverflow : public std::runtime_error {
  public:
   explicit LegalizationOverflow(const std::string& what)

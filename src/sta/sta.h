@@ -61,8 +61,7 @@ struct TimingReport {
   bool feasible() const { return num_violations == 0; }
 };
 
-/// Precomputed load-dependent delay model shared by every STA engine
-/// (full-traversal TimingAnalyzer and cone-bounded IncrementalSta):
+/// Precomputed load-dependent delay model of the TimingAnalyzer:
 /// per output pin, the unscaled cell delay `d0 + kd * Cload` plus the
 /// fixed Elmore wire term; per instance, the unscaled register setup.
 /// Rebuilt whenever parasitics change (SetLoads); everything VDD/Vth
@@ -150,17 +149,12 @@ class TimingAnalyzer {
   const netlist::Netlist& nl() const { return nl_; }
   const tech::CellLibrary& lib() const { return lib_; }
 
-  /// The precomputed delay model (engine-support hook: IncrementalSta
-  /// shares these tables so its cone recomputation evaluates exactly
-  /// the expressions the full traversal would).
-  const DelayTables& tables() const { return tab_; }
-
   /// Per-net arrival lanes of the most recent AnalyzeBatch call
   /// (net n, lane l at [n * W + l]; valid until the next Analyze*).
-  /// Engine-support hook: IncrementalSta's full-traversal fallback
-  /// seeds its cached base state from lane 0 of this buffer. Only the
-  /// rows of nets flagged in LastBatchReached() are defined — the hot
-  /// sweep never clears (or writes) the rows of unreached nets.
+  /// Lets tests check every reached net of a batch lane against a
+  /// scalar sweep. Only the rows of nets flagged in LastBatchReached()
+  /// are defined — the hot sweep never clears (or writes) the rows of
+  /// unreached nets.
   std::span<const double> LastBatchArrivals() const {
     return {arrival_lanes_.data(), last_batch_lanes_ * nl_.num_nets()};
   }

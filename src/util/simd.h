@@ -2,11 +2,10 @@
 /// \file simd.h
 /// \brief Portable fixed-width SIMD value lanes (f64 / f32 / u64).
 ///
-/// The hot kernels of this repo — the batched STA arrival sweep, the
-/// incremental engine's dirty-cone re-propagation, and the packed
-/// logic simulator's bit-sliced toggle counters — all iterate short
-/// per-net "lane" rows in structure-of-arrays form. This header gives
-/// them explicit vector types so one instruction processes
+/// The hot kernels of this repo — the batched STA arrival sweep and
+/// the packed logic simulator's bit-sliced toggle counters — iterate
+/// short per-net "lane" rows in structure-of-arrays form. This header
+/// gives them explicit vector types so one instruction processes
 /// F64::kWidth lanes, with the backend chosen at compile time:
 ///
 ///   * AVX2  (x86-64, `-mavx2`): 4 x f64, 8 x f32, 4 x u64;

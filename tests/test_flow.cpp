@@ -122,5 +122,30 @@ TEST(Flow, TileOverflowIsARecoverableFlowError) {
   }
 }
 
+TEST(Flow, GridBeyondTheDieIsARecoverableFlowError) {
+  // 64 domain rows exceed the Booth die's placement rows, and 20
+  // columns leave each tile too narrow for its cells: both requests
+  // must be reported as FlowError, not fail a check. 2x2 implements.
+  for (const place::GridConfig grid :
+       {place::GridConfig{1, 64}, place::GridConfig{20, 1}}) {
+    SCOPED_TRACE(grid.ToString());
+    FlowOptions fopt;
+    fopt.grid = grid;
+    try {
+      RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt);
+      FAIL() << "expected FlowError";
+    } catch (const FlowError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(grid.ToString()), std::string::npos) << what;
+    }
+  }
+  FlowOptions fopt;
+  fopt.grid = {2, 2};
+  EXPECT_EQ(
+      RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt)
+          .num_domains(),
+      4);
+}
+
 }  // namespace
 }  // namespace adq::core

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -586,56 +585,10 @@ TEST_F(ObsTest, OpenMetricsWithTimestamps) {
 }
 
 TEST_F(ObsTest, OpenMetricsNameSanitization) {
-  EXPECT_EQ(OpenMetricsName("sta.full_fallbacks"),
-            "adq_sta_full_fallbacks");
+  EXPECT_EQ(OpenMetricsName("sta.batch_calls"), "adq_sta_batch_calls");
   EXPECT_EQ(OpenMetricsName("phase.place.wall_ms"),
             "adq_phase_place_wall_ms");
   EXPECT_EQ(OpenMetricsName("weird name/2"), "adq_weird_name_2");
-}
-
-TEST_F(ObsTest, SnapshotJsonLineIsValidSingleLineJson) {
-  EnableMetrics(true);
-  GetCounter("test.jsonl").Add(3);
-  GetHistogram("test.jsonl_h", 0.0, 1.0, 2).Observe(0.5);
-  const std::string line = SnapshotJsonLine(SnapshotMetrics(), 123456);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  std::string err;
-  const util::Json doc = util::Json::Parse(line, &err);
-  ASSERT_TRUE(err.empty()) << err << "\n" << line;
-  ASSERT_TRUE(doc.is_object());
-  const util::Json* ts = doc.Get("ts_ms");
-  ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->AsNumber(), 123456.0);
-  const util::Json* counters = doc.Get("counters");
-  ASSERT_NE(counters, nullptr) << line;
-  const util::Json* c = counters->Get("test.jsonl");
-  ASSERT_NE(c, nullptr) << line;
-  EXPECT_EQ(c->AsNumber(), 3.0);
-}
-
-TEST_F(ObsTest, MetricsPumpAppendsJsonlTimeSeries) {
-  EnableMetrics(true);
-  GetCounter("test.pump").Add(1);
-  const std::string path = ::testing::TempDir() + "adq_pump_test.jsonl";
-  std::remove(path.c_str());
-  ASSERT_TRUE(StartMetricsPump(path, 10));
-  EXPECT_TRUE(MetricsPumpRunning());
-  EXPECT_FALSE(StartMetricsPump(path, 10));  // second pump refused
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  StopMetricsPump();
-  EXPECT_FALSE(MetricsPumpRunning());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    EXPECT_TRUE(util::Json::Valid(line)) << line;
-  }
-  // At least one periodic write plus the final snapshot on stop.
-  EXPECT_GE(lines, 2);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------
@@ -838,7 +791,7 @@ TEST(ObsDisabled, EverythingInertButCallable) {
   EXPECT_FALSE(WriteTrace("/nonexistent/never_written.json"));
 }
 
-TEST(ObsDisabled, ProfilerAndPumpStubsAreInert) {
+TEST(ObsDisabled, ProfilerStubsAreInert) {
   EXPECT_FALSE(ProfilerEnabled());
   EXPECT_FALSE(StartProfiler());
   EXPECT_FALSE(ProfilerRunning());
@@ -849,9 +802,6 @@ TEST(ObsDisabled, ProfilerAndPumpStubsAreInert) {
   EXPECT_EQ(GetProfilerStats().samples, 0);
   EXPECT_EQ(FoldedProfile(), "");
   EXPECT_FALSE(WriteFoldedProfile("/nonexistent/never.folded"));
-  EXPECT_FALSE(StartMetricsPump("/nonexistent/never.jsonl", 10));
-  EXPECT_FALSE(MetricsPumpRunning());
-  StopMetricsPump();
   // The exposition renderer itself is unconditional: an empty
   // snapshot still yields a well-formed document.
   const std::string om = ToOpenMetrics(SnapshotMetrics());
