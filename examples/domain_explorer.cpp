@@ -204,12 +204,8 @@ int main(int argc, char** argv) {
   core::FrontierResult frontier;
   if (use_frontier) {
     core::FrontierOptions fropt;
-    fropt.num_threads = threads;
+    static_cast<core::ExploreRequest&>(fropt) = xopt;  // shared request
     fropt.node_budget = budget;
-    fropt.store = store.get();
-    fropt.lint = lint_gate;
-    fropt.quality_max_abs_error = quality;
-    fropt.static_prune = static_prune;
     frontier = core::FrontierExplore(design, lib, fropt);
     ours = frontier.ToExplorationResult();
   } else {

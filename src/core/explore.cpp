@@ -1,13 +1,12 @@
 #include "core/explore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 
 #include "analysis/analysis.h"
@@ -19,14 +18,6 @@
 namespace adq::core {
 
 using tech::BiasState;
-
-const ModeResult& ExplorationResult::Mode(int bitwidth) const {
-  for (const ModeResult& m : modes)
-    if (m.bitwidth == bitwidth) return m;
-  ADQ_CHECK_MSG(false, "bitwidth " << bitwidth << " was not explored");
-  static ModeResult dummy;
-  return dummy;
-}
 
 std::vector<BiasState> BiasVectorFor(const ImplementedDesign& design,
                                      tech::DomainMask mask) {
@@ -63,24 +54,6 @@ void PutF64(std::string* s, double v) {
 }
 
 }  // namespace
-
-ModeConstants BuildModeConstants(const ImplementedDesign& design,
-                                 const power::PowerModel& pmodel,
-                                 const std::vector<int>& bitwidths,
-                                 int activity_cycles, std::uint64_t seed,
-                                 sim::StimulusKind stimulus) {
-  ModeConstants mc;
-  if (bitwidths.empty()) return mc;
-  ADQ_TRACE_SCOPE("explore.mode_constants");
-  std::vector<int> mode_lsbs;
-  for (const int bw : bitwidths) mode_lsbs.push_back(ZeroedLsbs(design.op, bw));
-  const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
-      design.op, mode_lsbs, activity_cycles, seed, stimulus);
-  for (const sim::ActivityProfile& act : acts)
-    mc.energy_fj.push_back(pmodel.SwitchedEnergyPerCycleFj(act));
-  mc.case_analysis = ModeCaseAnalyses(design.op, bitwidths);
-  return mc;
-}
 
 store::StoreKey ExploreStoreKey(const ImplementedDesign& design) {
   const netlist::Netlist& nl = design.op.nl;
@@ -133,9 +106,7 @@ namespace {
 /// Greedy RBB demotion of the mode's best point (see ExploreOptions::
 /// enable_rbb_sleep). Serial by design: it mutates one point and its
 /// STA count, and its cost is O(ndom) next to the O(2^ndom) sweep.
-void RbbSleepPass(const ImplementedDesign& design,
-                  const power::PowerModel& pmodel,
-                  const std::vector<double>& dom_weight,
+void RbbSleepPass(const ImplementedDesign& design, const ExplorePlan& plan,
                   sta::TimingAnalyzer& analyzer,
                   const netlist::CaseAnalysis& ca,
                   std::vector<BiasState>& bias, ModeResult& mode,
@@ -158,17 +129,17 @@ void RbbSleepPass(const ImplementedDesign& design,
   }
   double leak_w = 0.0;
   for (int d = 0; d < ndom; ++d)
-    leak_w += pmodel.DomainLeakageW(
-        dom_weight[static_cast<std::size_t>(d)], best.vdd,
+    leak_w += plan.pmodel.DomainLeakageW(
+        plan.dom_weight[static_cast<std::size_t>(d)], best.vdd,
         best.DomainState(d));
   best.power.leakage_w = leak_w;
 }
 
-/// Outcome of one (bitwidth, vdd, mask) lattice point as recorded by
-/// a worker. The sweep writes these into index-addressed slots; the
-/// deterministic merge then folds them serially in lattice order, so
-/// stats, best-point ties and all_points ordering cannot depend on
-/// thread scheduling (or batch width).
+/// Outcome of one (bitwidth, vdd, mask) lattice point. The sweep
+/// writes these into index-addressed slots; the deterministic merge
+/// then folds them serially in lattice order, so stats, best-point
+/// ties and all_points ordering cannot depend on thread scheduling
+/// (or batch width).
 struct PointRecord {
   enum class Kind : std::uint8_t {
     kPruned,      ///< implied infeasible by a smaller bitwidth
@@ -179,102 +150,44 @@ struct PointRecord {
   Kind kind = Kind::kPruned;
   bool from_store = false;  ///< verdict served by the exploration store
   double wns_ns = 0.0;
-  double leak_w = 0.0;
 };
 
-/// A ≤batch_width run of same-VDD lattice points handed to one
-/// AnalyzeBatch call. Lane l is lattice point (vi, lane_mi[begin+l]).
-struct BatchChunk {
-  std::size_t vi = 0;
-  std::size_t begin = 0;  ///< offset into the level's lane arrays
-  std::size_t count = 0;
-};
-
-/// The one exploration sweep. A 1-thread pool runs every ParallelFor
-/// inline on the caller, so there is no separate serial code path to
-/// keep in sync — bit-identity across num_threads holds by
-/// construction of the merge, not by duplicated logic.
+/// The exhaustive search: per bitwidth, the (VDD, mask) lattice in
+/// descending-popcount levels, each level's surviving points sent
+/// through the shared verdict path, then a deterministic merge. A
+/// 1-thread pool runs every batch inline on the caller, so there is
+/// no separate serial code path to keep in sync — bit-identity across
+/// num_threads holds by construction of the merge.
 ExplorationResult ExploreSweep(const ImplementedDesign& design,
                                const tech::CellLibrary& lib,
                                const ExploreOptions& opt,
-                               const std::vector<int>& bitwidths,
-                               const std::vector<tech::DomainMask>& masks,
-                               const power::PowerModel& pmodel,
-                               const std::vector<double>& dom_weight,
-                               int num_threads) {
-  const netlist::Netlist& nl = design.op.nl;
+                               const ExplorePlan& plan,
+                               const std::vector<tech::DomainMask>& masks) {
   const int ndom = design.num_domains();
-  const std::vector<int>& domain_of = design.domain_of();
-  const std::size_t batch_width =
-      static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
   // Recorded infeasible points need their computed wns_ns, so the
   // dominance prune (which never computes one) must stand down.
   const bool mask_prune = opt.mask_pruning && !opt.keep_all_points;
+  VerdictEvaluator eval(design, lib, opt, ExploreEngine::kExhaustive);
 
-  util::ThreadPool pool(num_threads);
-  const int nworkers = pool.num_threads();
-
-  // Persistent-store context: resolved once per sweep (the canonical
-  // key encodes the whole implemented design). All lookups happen in
-  // the serial Phase A and all insertions in a serial post-B pass, so
-  // the store never sees concurrent traffic from this sweep and the
-  // sta_runs / store_hits split is deterministic.
-  store::ExplorationStore* const store = opt.store;
-  const int store_ctx =
-      store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
-
-  // Per-worker STA contexts: the analyzer reuses per-net scratch and
-  // caches its levelization, delay tables and sweep schedules across
-  // chunks, so each worker owns an analyzer over the shared read-only
-  // netlist. Created lazily by the first point a worker claims (also
-  // spreading the construction cost across the pool).
-  std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
-      static_cast<std::size_t>(nworkers));
-  auto worker_analyzer = [&](int w) -> sta::TimingAnalyzer& {
-    auto& a = analyzer[static_cast<std::size_t>(w)];
-    if (!a)
-      a = std::make_unique<sta::TimingAnalyzer>(nl, lib, design.loads);
-    return *a;
-  };
-  // Lane naming for the trace viewer: each pool thread registers its
-  // stable worker index once (worker 0 is the calling thread).
-  auto name_lane = [](int w) {
-    if (!obs::TraceEnabled()) return;
-    thread_local bool named = false;
-    if (!named) {
-      obs::NameThisThreadLane("explore worker " + std::to_string(w));
-      named = true;
-    }
-  };
-
-  // Stage 1: per-mode constants.
-  const ModeConstants mc =
-      BuildModeConstants(design, pmodel, bitwidths, opt.activity_cycles,
-                         opt.seed, opt.stimulus);
-
-  // Monotone-infeasibility table shared across shards, slot = lattice
-  // index vi * |masks| + mi. A worker that proves (vdd, mask)
-  // infeasible at bitwidth b publishes the failure with a release
-  // store; sweeps of larger bitwidths read it with an acquire load.
-  // (Each slot is written at most once per bitwidth and only read by
-  // later bitwidths, which a pool barrier separates — the ordering
-  // makes the publication self-contained rather than barrier-reliant.)
-  // Mask-dominance hits publish the same way: they are proofs of
-  // infeasibility, so later bitwidths prune them exactly as if the
-  // STA had run — which is why every stat except the sta_runs /
-  // mask_pruned split is independent of the mask_pruning switch.
+  // Monotone-infeasibility table, slot = lattice index vi * |masks| +
+  // mi: set once a (vdd, mask) is proved infeasible at some bitwidth,
+  // read by larger bitwidths only (a slot belongs to one popcount
+  // level, so within a bitwidth it is read before it is written).
+  // Mask-dominance hits set it too: they are proofs of infeasibility,
+  // so later bitwidths prune them exactly as if the STA had run —
+  // which is why every stat except the sta_runs / mask_pruned split
+  // is independent of the mask_pruning switch.
   const std::size_t nv = opt.vdds.size();
   const std::size_t nm = masks.size();
-  std::vector<std::atomic<std::uint8_t>> dead(nv * nm);
-  for (auto& d : dead) d.store(0, std::memory_order_relaxed);
+  std::vector<std::uint8_t> dead(nv * nm, 0);
 
   // Mask-dominance schedule: masks grouped by popcount, processed in
   // descending-popcount levels. Any strict supermask has a strictly
   // larger popcount, i.e. lives in an earlier level, so by the time a
   // level is classified every potential dominator has a settled
-  // verdict (ParallelFor is a barrier). Equal popcount never
-  // dominates (M ⊆ F with |M| == |F| forces M == F), so decisions are
-  // independent of batch width, thread count and within-level order.
+  // verdict. Equal popcount never dominates (M ⊆ F with |M| == |F|
+  // forces M == F), so decisions are independent of batch width,
+  // thread count and within-level order.
   std::vector<std::vector<std::size_t>> levels;
   {
     int max_pop = 0;
@@ -288,7 +201,7 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   }
 
   // Stage 2: per bitwidth (ascending, so pruning sees every smaller
-  // mode), shard the (VDD, mask) lattice in batched chunks, then
+  // mode), classify and evaluate the lattice level by level, then
   // merge serially.
   ExplorationResult result;
   std::vector<PointRecord> rec(nv * nm);
@@ -297,12 +210,12 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
   // because a listed mask's supersets were either feasible or already
   // listed before any submask could reach STA.)
   std::vector<std::vector<tech::DomainMask>> row_infeasible(nv);
-  std::vector<std::size_t> lane_mi;          // level's pending points
-  std::vector<tech::DomainMask> lane_masks;  // aligned with lane_mi
-  std::vector<BatchChunk> chunks;
-  for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
-    const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = mc.case_analysis[bi];
+  std::vector<LatticePoint> pending;     // level's points to evaluate
+  std::vector<std::size_t> pending_mi;   // aligned with pending
+  std::vector<PointVerdict> verdicts;    // aligned with pending
+  for (std::size_t bi = 0; bi < plan.bitwidths.size(); ++bi) {
+    const int bw = plan.bitwidths[bi];
+    const netlist::CaseAnalysis& bca = plan.case_analysis[bi];
 
     ADQ_TRACE_SCOPE2("explore.bitwidth", std::to_string(bw));
     obs::ProgressReporter prog("explore bw=" + std::to_string(bw),
@@ -311,22 +224,16 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     for (auto& row : row_infeasible) row.clear();
 
     for (const std::vector<std::size_t>& level : levels) {
-      // Phase A (serial): classify the level. Points condemned by a
-      // smaller bitwidth keep kPruned; points dominated by an earlier
-      // level's infeasible supermask become kMaskPruned; the rest
-      // queue for batched STA, grouped by VDD row.
-      lane_mi.clear();
-      lane_masks.clear();
-      chunks.clear();
+      // Phase A: classify the level. Points condemned by a smaller
+      // bitwidth keep kPruned; points dominated by an earlier level's
+      // infeasible supermask become kMaskPruned; the rest are queued
+      // for a verdict, in (vi, level) order.
+      pending.clear();
+      pending_mi.clear();
       for (std::size_t vi = 0; vi < nv; ++vi) {
-        const std::size_t row_begin = lane_mi.size();
         for (const std::size_t mi : level) {
           const std::size_t slot = vi * nm + mi;
-          if (opt.monotonic_pruning &&
-              dead[slot].load(std::memory_order_acquire)) {
-            prog.Tick();
-            continue;  // record stays kPruned
-          }
+          if (opt.monotonic_pruning && dead[slot]) continue;
           if (mask_prune) {
             const tech::DomainMask mask = masks[mi];
             bool dominated = false;
@@ -337,93 +244,37 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
               }
             if (dominated) {
               rec[slot].kind = PointRecord::Kind::kMaskPruned;
-              dead[slot].store(1, std::memory_order_release);
-              prog.Tick();
+              dead[slot] = 1;
               continue;
             }
           }
-          // Store warm-start: a persisted verdict replaces the STA
-          // run. The lookup sits *after* both prunes, so the pruning
-          // decisions (and their stats) are identical with or without
-          // a store; an infeasible hit publishes to the dead table and
-          // (via Phase C, which keys on kInfeasible) to the dominance
-          // antichain exactly like a fresh STA failure would.
-          if (store != nullptr) {
-            bool feas = false;
-            double wns = 0.0;
-            if (store->Lookup(store_ctx, bw, opt.vdds[vi], masks[mi],
-                              &feas, &wns)) {
-              PointRecord& r = rec[slot];
-              r.from_store = true;
-              r.wns_ns = wns;
-              if (feas) {
-                r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = MaskLeakageW(pmodel, dom_weight, ndom,
-                                        opt.vdds[vi], masks[mi]);
-              } else {
-                r.kind = PointRecord::Kind::kInfeasible;
-                dead[slot].store(1, std::memory_order_release);
-              }
-              prog.Tick();
-              continue;
-            }
-          }
-          lane_mi.push_back(mi);
-          lane_masks.push_back(masks[mi]);
+          pending.push_back({vi, masks[mi]});
+          pending_mi.push_back(mi);
         }
-        for (std::size_t c = row_begin; c < lane_mi.size();
-             c += batch_width)
-          chunks.push_back(
-              {vi, c, std::min(batch_width, lane_mi.size() - c)});
       }
 
-      // Phase B (parallel): one AnalyzeBatch per chunk; lanes write
-      // their own slots. The ParallelFor barrier makes every verdict
-      // of this level visible before the next level classifies.
-      pool.ParallelFor(
-          static_cast<std::int64_t>(chunks.size()), 1,
-          [&](std::int64_t idx, int w) {
-            name_lane(w);
-            const BatchChunk& c = chunks[static_cast<std::size_t>(idx)];
-            const double vdd = opt.vdds[c.vi];
-            obs::TraceSpan batch_span("sta.batch");
-            const std::span<const tech::DomainMask> chunk_masks(
-                lane_masks.data() + c.begin, c.count);
-            const std::vector<sta::TimingReport> reps =
-                worker_analyzer(w).AnalyzeBatch(vdd, design.clock_ns,
-                                                chunk_masks, domain_of, &bca);
-            for (std::size_t l = 0; l < c.count; ++l) {
-              const std::size_t mi = lane_mi[c.begin + l];
-              const std::size_t slot = c.vi * nm + mi;
-              PointRecord& r = rec[slot];
-              r.wns_ns = reps[l].wns_ns;
-              if (!reps[l].feasible()) {
-                r.kind = PointRecord::Kind::kInfeasible;
-                dead[slot].store(1, std::memory_order_release);
-              } else {
-                r.kind = PointRecord::Kind::kFeasible;
-                r.leak_w = MaskLeakageW(pmodel, dom_weight, ndom, vdd,
-                                        masks[mi]);
-              }
-              prog.Tick();
-            }
-          });
+      // Phase B: the shared verdict path — store hits, then batched
+      // STA on the pool. It runs after both prunes, so the pruning
+      // decisions (and their stats) are identical with or without a
+      // store; an infeasible store hit condemns the point exactly
+      // like a fresh STA failure.
+      eval.Evaluate(bw, bca, pending, &verdicts);
+      for (std::size_t k = 0; k < pending.size(); ++k) {
+        const std::size_t slot = pending[k].vi * nm + pending_mi[k];
+        PointRecord& r = rec[slot];
+        r.from_store = verdicts[k].from_store;
+        r.wns_ns = verdicts[k].wns_ns;
+        if (verdicts[k].feasible) {
+          r.kind = PointRecord::Kind::kFeasible;
+        } else {
+          r.kind = PointRecord::Kind::kInfeasible;
+          dead[slot] = 1;
+        }
+      }
+      prog.Tick(static_cast<std::int64_t>(level.size() * nv));
 
-      // Serial store write-back: persist this level's fresh STA
-      // verdicts in deterministic chunk order (the chunk layout is a
-      // pure function of the surviving set).
-      if (store != nullptr)
-        for (const BatchChunk& c : chunks)
-          for (std::size_t l = 0; l < c.count; ++l) {
-            const std::size_t mi = lane_mi[c.begin + l];
-            const PointRecord& r = rec[c.vi * nm + mi];
-            store->Insert(store_ctx, bw, opt.vdds[c.vi], masks[mi],
-                          r.kind == PointRecord::Kind::kFeasible,
-                          r.wns_ns);
-          }
-
-      // Phase C (serial): extend the per-VDD antichains with this
-      // level's fresh failures, in deterministic (vi, mi) order.
+      // Phase C: extend the per-VDD antichains with this level's fresh
+      // failures, in deterministic (vi, mi) order.
       if (mask_prune)
         for (std::size_t vi = 0; vi < nv; ++vi)
           for (const std::size_t mi : level)
@@ -438,11 +289,11 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     // and batch width, so the result is bit-identical across both.
     ModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = mc.energy_fj[bi];
+    mode.switched_energy_fj = plan.energy_fj[bi];
     for (std::size_t vi = 0; vi < nv; ++vi) {
       const double vdd = opt.vdds[vi];
       const double dyn_w = power::PowerModel::DynamicW(
-          mc.energy_fj[bi], vdd, design.fclk_ghz());
+          plan.energy_fj[bi], vdd, design.fclk_ghz());
       for (std::size_t mi = 0; mi < nm; ++mi) {
         const PointRecord& r = rec[vi * nm + mi];
         ++result.stats.points_considered;
@@ -460,28 +311,21 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
           ++result.stats.store_hits;
         else
           ++result.stats.sta_runs;
-        if (r.kind == PointRecord::Kind::kInfeasible) {
-          ++result.stats.filtered;
-          if (opt.keep_all_points) {
-            ExploredPoint p;
-            p.bitwidth = bw;
-            p.vdd = vdd;
-            p.mask = masks[mi];
-            p.feasible = false;
-            p.wns_ns = r.wns_ns;
-            result.all_points.push_back(p);
-          }
-          continue;
-        }
-        ++result.stats.feasible;
         ExploredPoint p;
         p.bitwidth = bw;
         p.vdd = vdd;
         p.mask = masks[mi];
-        p.feasible = true;
         p.wns_ns = r.wns_ns;
+        if (r.kind == PointRecord::Kind::kInfeasible) {
+          ++result.stats.filtered;
+          if (opt.keep_all_points) result.all_points.push_back(p);
+          continue;
+        }
+        ++result.stats.feasible;
+        p.feasible = true;
         p.power.dynamic_w = dyn_w;
-        p.power.leakage_w = r.leak_w;
+        p.power.leakage_w =
+            MaskLeakageW(plan.pmodel, plan.dom_weight, ndom, vdd, masks[mi]);
         if (!mode.has_solution ||
             p.total_power_w() < mode.best.total_power_w()) {
           mode.has_solution = true;
@@ -492,9 +336,9 @@ ExplorationResult ExploreSweep(const ImplementedDesign& design,
     }
 
     if (opt.enable_rbb_sleep && mode.has_solution) {
-      std::vector<BiasState> bias(nl.num_instances());
-      RbbSleepPass(design, pmodel, dom_weight, worker_analyzer(0), bca,
-                   bias, mode, result.stats);
+      std::vector<BiasState> bias(design.op.nl.num_instances());
+      RbbSleepPass(design, plan, eval.analyzer(0), bca, bias, mode,
+                   result.stats);
     }
 
     result.modes.push_back(mode);
@@ -539,11 +383,7 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
                                      const ExploreOptions& opt) {
   ADQ_TRACE_SCOPE("explore");
   const auto obs_t0 = std::chrono::steady_clock::now();
-  const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
-  ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
-                "domain count " << ndom << " outside [1, "
-                                << tech::kMaxDomains << "]");
   // A full-lattice request beyond the enumeration ceiling is a
   // recoverable request error, not a contract violation: callers
   // reroute to core::FrontierExplore (examples/domain_explorer does).
@@ -554,50 +394,8 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
         " = " + std::to_string(kMaxExhaustiveDomains) +
         "); restrict ExploreOptions::masks or use core::FrontierExplore");
 
-  // Signoff lint gate (shared with the flow and the frontier engine):
-  // exploring a corrupt netlist fails here, loudly, instead of deep
-  // inside a worker. Off by default.
-  SignoffLint(design, lib, opt.lint);
-
-  std::vector<int> bitwidths = opt.bitwidths;
-  if (bitwidths.empty()) {
-    for (int b = 1; b <= design.op.spec.data_width; ++b)
-      bitwidths.push_back(b);
-  }
-  std::sort(bitwidths.begin(), bitwidths.end());
-
-  // Static-prune stage: modes whose *proved* worst-case error bound
-  // (analysis::AccuracyAnalyzer — interval analysis of the validated
-  // word model, taint fallback otherwise) already violates the
-  // quality target are decided right here, with zero simulation and
-  // zero STA. The analyzer bound is sound (pinned against
-  // PackedLogicSim by tests/test_analysis_soundness), so a pruned
-  // mode could never have satisfied the target; surviving modes are
-  // swept exactly as before, and the per-mode activity extraction is
-  // a pure per-mode function, so their results are bit-identical to
-  // an unpruned run (tests/test_static_prune).
-  std::optional<analysis::AccuracyAnalyzer> quality;
-  const bool quality_finite = std::isfinite(opt.quality_max_abs_error);
-  if (quality_finite) quality.emplace(design.op);
-  std::vector<ModeResult> statically_pruned;
-  if (quality_finite && opt.static_prune) {
-    ADQ_TRACE_SCOPE("explore.static_prune");
-    std::vector<int> kept;
-    kept.reserve(bitwidths.size());
-    for (int bw : bitwidths) {
-      const double bound = quality->ProvedMaxAbsError(bw);
-      if (bound > opt.quality_max_abs_error) {
-        ModeResult m;
-        m.bitwidth = bw;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        statically_pruned.push_back(m);
-      } else {
-        kept.push_back(bw);
-      }
-    }
-    bitwidths = std::move(kept);
-  }
+  const ExplorePlan plan =
+      PlanExploration(design, lib, opt, ExploreEngine::kExhaustive);
 
   std::vector<tech::DomainMask> masks = opt.masks;
   if (masks.empty()) {
@@ -606,53 +404,220 @@ ExplorationResult ExploreDesignSpace(const ImplementedDesign& design,
     for (tech::DomainMask m = 0; m <= full; ++m) masks.push_back(m);
   }
 
-  // Per-domain leakage weights: leakage of a mask is a ndom-term sum.
-  power::PowerModel pmodel(nl, lib, design.loads);
-  const std::vector<double> dom_weight =
-      pmodel.LeakWeightByDomain(design.partition.domain_of, ndom);
-
-  const int num_threads = util::ResolveNumThreads(opt.num_threads);
-  // Every mode may have been statically pruned; the sweep (and its
-  // batched activity extraction) requires at least one mode, so skip
-  // it entirely in that case.
+  // Every mode may have been statically pruned: then there is nothing
+  // to sweep (and no pool to start).
   ExplorationResult result;
-  if (!bitwidths.empty())
-    result = ExploreSweep(design, lib, opt, bitwidths, masks, pmodel,
-                          dom_weight, num_threads);
-
-  if (quality_finite) {
-    // Annotate swept modes with their proved bound; with the
-    // static-prune stage disabled, apply the same verdicts post-hoc
-    // so the returned modes are bit-identical either way (only the
-    // stats — and the wall time — differ).
-    for (ModeResult& m : result.modes) {
-      const double bound = quality->ProvedMaxAbsError(m.bitwidth);
-      if (!opt.static_prune && bound > opt.quality_max_abs_error) {
-        ModeResult repl;
-        repl.bitwidth = m.bitwidth;
-        repl.proved_max_abs_error = bound;
-        repl.statically_pruned = true;
-        m = repl;
-      } else {
-        m.proved_max_abs_error = bound;
-      }
-    }
-    if (!statically_pruned.empty()) {
-      result.stats.static_mode_prunes =
-          static_cast<long>(statically_pruned.size());
-      for (ModeResult& m : statically_pruned)
-        result.modes.push_back(std::move(m));
-      std::sort(result.modes.begin(), result.modes.end(),
-                [](const ModeResult& a, const ModeResult& b) {
-                  return a.bitwidth < b.bitwidth;
-                });
-    }
-  }
+  if (!plan.bitwidths.empty())
+    result = ExploreSweep(design, lib, opt, plan, masks);
+  plan.FinishModes(result.modes);
+  result.stats.static_mode_prunes = static_cast<long>(plan.pruned.size());
   RecordExploreMetrics(
       result, std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - obs_t0)
                   .count());
   return result;
+}
+
+// ---------------------------------------------------------------------
+// The shared front end.
+// ---------------------------------------------------------------------
+
+namespace {
+
+ModeResult StaticPrunePlaceholder(int bitwidth, double bound) {
+  ModeResult m;
+  m.bitwidth = bitwidth;
+  m.proved_max_abs_error = bound;
+  m.statically_pruned = true;
+  return m;
+}
+
+}  // namespace
+
+bool ExplorePlan::ApplyQualityVerdict(ModeResult& m) const {
+  const auto it = proved_bound.find(m.bitwidth);
+  if (it == proved_bound.end()) return false;
+  if (it->second > quality_max_abs_error) {
+    m = StaticPrunePlaceholder(m.bitwidth, it->second);
+    return true;
+  }
+  m.proved_max_abs_error = it->second;
+  return false;
+}
+
+ExplorePlan PlanExploration(const ImplementedDesign& design,
+                            const tech::CellLibrary& lib,
+                            const ExploreRequest& req, ExploreEngine engine) {
+  const int ndom = design.num_domains();
+  ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
+                "domain count " << ndom << " outside [1, "
+                                << tech::kMaxDomains << "]");
+  // Signoff lint gate (shared with the flow): exploring a corrupt
+  // netlist fails here, loudly, instead of deep inside a worker.
+  SignoffLint(design, lib, req.lint);
+
+  std::vector<int> bitwidths = req.bitwidths;
+  if (bitwidths.empty()) {
+    for (int b = 1; b <= design.op.spec.data_width; ++b)
+      bitwidths.push_back(b);
+  }
+  std::sort(bitwidths.begin(), bitwidths.end());
+
+  // Static-prune stage — the admissible accuracy bound of both
+  // searches. analysis::AccuracyAnalyzer proves a sound per-mode
+  // error bound (interval analysis of the validated word model, taint
+  // fallback otherwise; pinned against PackedLogicSim by
+  // tests/test_analysis_soundness), so a mode whose bound violates
+  // the quality target has an empty feasible set and is decided right
+  // here: no activity simulation, no STA, no criticality probe.
+  // Surviving modes are searched exactly as before, and stage 1 is a
+  // pure per-mode function, so their results are bit-identical to an
+  // unpruned run (tests/test_static_prune).
+  std::map<int, double> proved_bound;
+  std::vector<ModeResult> pruned;
+  if (std::isfinite(req.quality_max_abs_error)) {
+    ADQ_TRACE_SCOPE(engine == ExploreEngine::kExhaustive
+                        ? "explore.static_prune"
+                        : "frontier.static_prune");
+    const analysis::AccuracyAnalyzer quality(design.op);
+    for (const int bw : bitwidths)
+      proved_bound[bw] = quality.ProvedMaxAbsError(bw);
+    if (req.static_prune) {
+      std::vector<int> kept;
+      for (const int bw : bitwidths) {
+        if (proved_bound[bw] > req.quality_max_abs_error)
+          pruned.push_back(StaticPrunePlaceholder(bw, proved_bound[bw]));
+        else
+          kept.push_back(bw);
+      }
+      bitwidths = std::move(kept);
+    }
+  }
+
+  power::PowerModel pmodel(design.op.nl, lib, design.loads);
+  std::vector<double> dom_weight =
+      pmodel.LeakWeightByDomain(design.partition.domain_of, ndom);
+
+  // Stage 1: per-mode constants.
+  std::vector<netlist::CaseAnalysis> case_analysis;
+  std::vector<double> energy_fj;
+  if (!bitwidths.empty()) {
+    ADQ_TRACE_SCOPE("explore.mode_constants");
+    std::vector<int> mode_lsbs;
+    for (const int bw : bitwidths)
+      mode_lsbs.push_back(ZeroedLsbs(design.op, bw));
+    const std::vector<sim::ActivityProfile> acts = sim::ExtractActivityBatch(
+        design.op, mode_lsbs, req.activity_cycles, req.seed, req.stimulus);
+    for (const sim::ActivityProfile& act : acts)
+      energy_fj.push_back(pmodel.SwitchedEnergyPerCycleFj(act));
+    case_analysis = ModeCaseAnalyses(design.op, bitwidths);
+  }
+  return ExplorePlan{std::move(bitwidths),    std::move(pruned),
+                     std::move(pmodel),       std::move(dom_weight),
+                     std::move(case_analysis), std::move(energy_fj),
+                     std::move(proved_bound), req.quality_max_abs_error};
+}
+
+VerdictEvaluator::VerdictEvaluator(const ImplementedDesign& design,
+                                   const tech::CellLibrary& lib,
+                                   const ExploreRequest& req,
+                                   ExploreEngine engine)
+    : design_(design),
+      lib_(lib),
+      req_(req),
+      lane_prefix_(engine == ExploreEngine::kExhaustive
+                       ? "explore worker "
+                       : "frontier worker "),
+      // The canonical key encodes the whole implemented design, so it
+      // is resolved once per exploration.
+      store_ctx_(req.store != nullptr
+                     ? req.store->Context(ExploreStoreKey(design))
+                     : -1),
+      pool_(std::make_unique<util::ThreadPool>(req.num_threads)),
+      analyzers_(static_cast<std::size_t>(pool_->num_threads())) {}
+
+VerdictEvaluator::~VerdictEvaluator() = default;
+
+int VerdictEvaluator::num_threads() const { return pool_->num_threads(); }
+
+sta::TimingAnalyzer& VerdictEvaluator::analyzer(int w) {
+  std::unique_ptr<sta::TimingAnalyzer>& a =
+      analyzers_[static_cast<std::size_t>(w)];
+  if (!a)
+    a = std::make_unique<sta::TimingAnalyzer>(design_.op.nl, lib_,
+                                              design_.loads);
+  return *a;
+}
+
+void VerdictEvaluator::Evaluate(int bw, const netlist::CaseAnalysis& ca,
+                                const std::vector<LatticePoint>& points,
+                                std::vector<PointVerdict>* out) {
+  store::ExplorationStore* const store = req_.store;
+  out->assign(points.size(), PointVerdict{});
+  std::vector<std::size_t> miss;  // points the store did not serve
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    PointVerdict& v = (*out)[i];
+    v.from_store = store != nullptr &&
+                   store->Lookup(store_ctx_, bw, req_.vdds[points[i].vi],
+                                 points[i].mask, &v.feasible, &v.wns_ns);
+    if (!v.from_store) miss.push_back(i);
+  }
+  if (miss.empty()) return;
+
+  // Lane l of a chunk is point lane_idx[begin + l]; a chunk never
+  // spans two VDD rows.
+  struct Chunk {
+    std::size_t vi = 0;
+    std::size_t begin = 0;
+    std::size_t count = 0;
+  };
+  const std::size_t batch_width =
+      static_cast<std::size_t>(req_.batch_width > 0 ? req_.batch_width : 8);
+  std::vector<std::size_t> lane_idx;
+  std::vector<tech::DomainMask> lane_masks;
+  std::vector<Chunk> chunks;
+  for (std::size_t vi = 0; vi < req_.vdds.size(); ++vi) {
+    const std::size_t row_begin = lane_idx.size();
+    for (const std::size_t i : miss)
+      if (points[i].vi == vi) {
+        lane_idx.push_back(i);
+        lane_masks.push_back(points[i].mask);
+      }
+    for (std::size_t c = row_begin; c < lane_idx.size(); c += batch_width)
+      chunks.push_back({vi, c, std::min(batch_width, lane_idx.size() - c)});
+  }
+
+  // One AnalyzeBatch per chunk; lanes write their own slots.
+  pool_->ParallelFor(
+      static_cast<std::int64_t>(chunks.size()), 1,
+      [&](std::int64_t idx, int w) {
+        // Lane naming for the trace viewer: each pool thread registers
+        // its stable worker index once (worker 0 is the caller).
+        if (obs::TraceEnabled()) {
+          thread_local bool named = false;
+          if (!named) {
+            obs::NameThisThreadLane(lane_prefix_ + std::to_string(w));
+            named = true;
+          }
+        }
+        const Chunk& c = chunks[static_cast<std::size_t>(idx)];
+        obs::TraceSpan batch_span("sta.batch");
+        const std::vector<sta::TimingReport> reps = analyzer(w).AnalyzeBatch(
+            req_.vdds[c.vi], design_.clock_ns,
+            std::span<const tech::DomainMask>(lane_masks.data() + c.begin,
+                                              c.count),
+            design_.domain_of(), &ca);
+        for (std::size_t l = 0; l < c.count; ++l) {
+          PointVerdict& v = (*out)[lane_idx[c.begin + l]];
+          v.feasible = reps[l].feasible();
+          v.wns_ns = reps[l].wns_ns;
+        }
+      });
+
+  if (store != nullptr)
+    for (const std::size_t i : miss)
+      store->Insert(store_ctx_, bw, req_.vdds[points[i].vi], points[i].mask,
+                    (*out)[i].feasible, (*out)[i].wns_ns);
 }
 
 }  // namespace adq::core

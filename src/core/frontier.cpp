@@ -2,45 +2,22 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <queue>
 #include <set>
 #include <string>
-#include <utility>
 
-#include "analysis/analysis.h"
-#include "core/accuracy.h"
 #include "core/band_optimizer.h"
 #include "obs/obs.h"
-#include "sta/sta.h"
-#include "util/thread_pool.h"
 
 namespace adq::core {
-
-const FrontierModeResult& FrontierResult::Mode(int bitwidth) const {
-  for (const FrontierModeResult& m : modes)
-    if (m.bitwidth == bitwidth) return m;
-  ADQ_CHECK_MSG(false, "bitwidth " << bitwidth << " was not explored");
-  static FrontierModeResult dummy;
-  return dummy;
-}
 
 ExplorationResult FrontierResult::ToExplorationResult() const {
   ExplorationResult out;
   for (const FrontierModeResult& m : modes) {
-    ModeResult mr;
-    mr.bitwidth = m.bitwidth;
-    mr.has_solution = m.has_solution;
-    mr.best = m.best;
-    mr.switched_energy_fj = m.switched_energy_fj;
-    mr.proved_max_abs_error = m.proved_max_abs_error;
-    mr.statically_pruned = m.statically_pruned;
-    out.modes.push_back(mr);
+    out.modes.push_back(m);  // the shared ModeResult part
     if (m.has_solution) ++out.stats.feasible;
   }
   out.stats.sta_runs = stats.sta_runs;
@@ -50,14 +27,6 @@ ExplorationResult FrontierResult::ToExplorationResult() const {
 }
 
 namespace {
-
-/// One STA verdict of a lattice point (vi, mask) at the current
-/// bitwidth. wns_ns round-trips through the store as exact bits, so a
-/// warm-started search folds the very same doubles a cold one does.
-struct Verdict {
-  bool feasible = false;
-  double wns_ns = 0.0;
-};
 
 /// A search node: the subtree of masks m with mask ⊆ m ⊆ mask |
 /// tail[depth] at VDD index vi. Domains perm[0..depth-1] are decided
@@ -146,89 +115,13 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
                                const FrontierOptions& opt) {
   ADQ_TRACE_SCOPE("frontier");
   const auto obs_t0 = std::chrono::steady_clock::now();
-  const netlist::Netlist& nl = design.op.nl;
   const int ndom = design.num_domains();
   const std::vector<int>& domain_of = design.domain_of();
-  ADQ_CHECK_MSG(ndom >= 1 && ndom <= tech::kMaxDomains,
-                "domain count " << ndom << " outside [1, "
-                                << tech::kMaxDomains << "]");
   ADQ_CHECK(!opt.vdds.empty());
-
-  // Same signoff lint gate as the flow and the exhaustive engine.
-  SignoffLint(design, lib, opt.lint);
-
-  std::vector<int> bitwidths = opt.bitwidths;
-  if (bitwidths.empty()) {
-    for (int b = 1; b <= design.op.spec.data_width; ++b)
-      bitwidths.push_back(b);
-  }
-  std::sort(bitwidths.begin(), bitwidths.end());
-
-  // Static-prune stage — the admissible accuracy bound of the B&B.
-  // analysis::AccuracyAnalyzer proves a sound per-mode error bound;
-  // a mode whose bound violates the quality target has an empty
-  // feasible set, so the whole mode is decided here: no activity
-  // extraction, no criticality probe, no search tree. The verdict is
-  // a proof, so the mode counts as certified.
-  std::optional<analysis::AccuracyAnalyzer> quality;
-  const bool quality_finite = std::isfinite(opt.quality_max_abs_error);
-  if (quality_finite) quality.emplace(design.op);
-  std::vector<FrontierModeResult> statically_pruned;
-  if (quality_finite && opt.static_prune) {
-    ADQ_TRACE_SCOPE("frontier.static_prune");
-    std::vector<int> kept;
-    kept.reserve(bitwidths.size());
-    for (int bw : bitwidths) {
-      const double bound = quality->ProvedMaxAbsError(bw);
-      if (bound > opt.quality_max_abs_error) {
-        FrontierModeResult m;
-        m.bitwidth = bw;
-        m.certified = true;
-        m.proved_max_abs_error = bound;
-        m.statically_pruned = true;
-        statically_pruned.push_back(m);
-      } else {
-        kept.push_back(bw);
-      }
-    }
-    bitwidths = std::move(kept);
-  }
-
-  power::PowerModel pmodel(nl, lib, design.loads);
-  const std::vector<double> dom_weight =
-      pmodel.LeakWeightByDomain(design.partition.domain_of, ndom);
-
-  const int num_threads = util::ResolveNumThreads(opt.num_threads);
-  util::ThreadPool pool(num_threads);
-  const int nworkers = pool.num_threads();
-
-  std::vector<std::unique_ptr<sta::TimingAnalyzer>> analyzer(
-      static_cast<std::size_t>(nworkers));
-  auto worker_analyzer = [&](int w) -> sta::TimingAnalyzer& {
-    auto& a = analyzer[static_cast<std::size_t>(w)];
-    if (!a)
-      a = std::make_unique<sta::TimingAnalyzer>(nl, lib, design.loads);
-    return *a;
-  };
-  auto name_lane = [](int w) {
-    if (!obs::TraceEnabled()) return;
-    thread_local bool named = false;
-    if (!named) {
-      obs::NameThisThreadLane("frontier worker " + std::to_string(w));
-      named = true;
-    }
-  };
-
-  // Persistent store: same key as the exhaustive engine, so the two
-  // share verdicts. All store traffic is serial (classification and
-  // write-back phases), keeping the hit/run split deterministic.
-  store::ExplorationStore* const store = opt.store;
-  const int store_ctx =
-      store != nullptr ? store->Context(ExploreStoreKey(design)) : -1;
-
-  const ModeConstants mc =
-      BuildModeConstants(design, pmodel, bitwidths, opt.activity_cycles,
-                         opt.seed, opt.stimulus);
+  const ExplorePlan plan =
+      PlanExploration(design, lib, opt, ExploreEngine::kFrontier);
+  const std::vector<int>& bitwidths = plan.bitwidths;
+  VerdictEvaluator eval(design, lib, opt, ExploreEngine::kFrontier);
 
   // Branch order: most accuracy-critical domains first (they decide
   // feasibility highest in the tree). The criticality probe is
@@ -240,7 +133,7 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
     ADQ_TRACE_SCOPE("frontier.criticality");
     const std::vector<double> crit = AccuracyCriticality(
         design.op, lib, design.loads, design.clock_ns, bitwidths,
-        opt.criticality_slack_window_ns, num_threads);
+        opt.criticality_slack_window_ns, eval.num_threads());
     std::vector<double> dom_crit(
         static_cast<std::size_t>(ndom),
         std::numeric_limits<double>::infinity());
@@ -265,48 +158,40 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
   const std::size_t nv = opt.vdds.size();
   const std::size_t wave_width =
       static_cast<std::size_t>(std::max(1, opt.wave_width));
-  const std::size_t batch_width =
-      static_cast<std::size_t>(opt.batch_width > 0 ? opt.batch_width : 8);
 
   FrontierResult result;
-  using PointKey = std::pair<std::size_t, tech::DomainMask>;
   // Infeasibility is monotone in bitwidth (more active bits only add
   // paths): verdicts proved infeasible at any smaller bitwidth carry
   // forward as proofs, never re-run.
-  std::set<PointKey> carried_infeasible;
-
-  struct EvalChunk {
-    std::size_t vi = 0;
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
+  std::set<LatticePoint> carried_infeasible;
 
   for (std::size_t bi = 0; bi < bitwidths.size(); ++bi) {
     const int bw = bitwidths[bi];
-    const netlist::CaseAnalysis& bca = mc.case_analysis[bi];
+    const netlist::CaseAnalysis& bca = plan.case_analysis[bi];
     ADQ_TRACE_SCOPE2("frontier.bitwidth", std::to_string(bw));
 
     std::vector<double> dyn(nv);
     for (std::size_t vi = 0; vi < nv; ++vi)
-      dyn[vi] = power::PowerModel::DynamicW(mc.energy_fj[bi], opt.vdds[vi],
+      dyn[vi] = power::PowerModel::DynamicW(plan.energy_fj[bi], opt.vdds[vi],
                                             design.fclk_ghz());
 
-    std::map<PointKey, Verdict> verdicts;
+    std::map<LatticePoint, PointVerdict> verdicts;
     Incumbent inc;
     FrontierModeResult mode;
     mode.bitwidth = bw;
-    mode.switched_energy_fj = mc.energy_fj[bi];
+    mode.switched_energy_fj = plan.energy_fj[bi];
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     for (std::size_t vi = 0; vi < nv; ++vi)
       open.push(Node{vi, 0, 0,
-                     dyn[vi] + MaskLeakageW(pmodel, dom_weight, ndom,
-                                            opt.vdds[vi], 0)});
+                     dyn[vi] + MaskLeakageW(plan.pmodel, plan.dom_weight,
+                                            ndom, opt.vdds[vi], 0)});
 
     bool budget_hit = false;
     std::vector<Node> wave;
-    std::vector<PointKey> resolved;  // this wave, first-demand order
-    std::vector<PointKey> need;      // subset that must run STA
+    std::vector<LatticePoint> resolved;  // this wave, first-demand order
+    std::vector<LatticePoint> need;      // subset the evaluator serves
+    std::vector<PointVerdict> fresh;     // aligned with need
     while (!open.empty()) {
       if (opt.node_budget > 0 &&
           mode.nodes_expanded >= opt.node_budget) {
@@ -334,31 +219,21 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
       ++result.stats.waves;
 
       // Verdict demands: each node needs its minimal and maximal
-      // mask. Known verdicts, bitwidth-carried proofs and store hits
-      // resolve serially here; the rest queue for batched STA.
+      // mask. Known verdicts and bitwidth-carried proofs resolve
+      // serially here; the rest go to the shared verdict path.
       resolved.clear();
       need.clear();
       auto demand = [&](std::size_t vi, tech::DomainMask m) {
-        const PointKey key{vi, m};
+        const LatticePoint key{vi, m};
         if (verdicts.count(key) != 0) return;
         if (std::find(resolved.begin(), resolved.end(), key) !=
             resolved.end())
           return;
         resolved.push_back(key);
         if (carried_infeasible.count(key) != 0) {
-          verdicts.emplace(key, Verdict{false, 0.0});
+          verdicts.emplace(key, PointVerdict{});
           ++result.stats.transfer_hits;
           return;
-        }
-        if (store != nullptr) {
-          bool feas = false;
-          double wns = 0.0;
-          if (store->Lookup(store_ctx, bw, opt.vdds[vi], m, &feas,
-                            &wns)) {
-            verdicts.emplace(key, Verdict{feas, wns});
-            ++result.stats.store_hits;
-            return;
-          }
         }
         need.push_back(key);
       };
@@ -366,72 +241,31 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
         demand(n.vi, n.mask | tail[static_cast<std::size_t>(n.depth)]);
         demand(n.vi, n.mask);
       }
-
-      // Batched STA of the fresh points, sharded on the pool into
-      // index-addressed slots; publication and store write-back are
-      // serial in demand order.
-      if (!need.empty()) {
-        std::vector<std::size_t> lane_idx;
-        std::vector<tech::DomainMask> lane_masks;
-        std::vector<EvalChunk> chunks;
-        lane_idx.reserve(need.size());
-        lane_masks.reserve(need.size());
-        for (std::size_t vi = 0; vi < nv; ++vi) {
-          const std::size_t row_begin = lane_idx.size();
-          for (std::size_t i = 0; i < need.size(); ++i)
-            if (need[i].first == vi) {
-              lane_idx.push_back(i);
-              lane_masks.push_back(need[i].second);
-            }
-          for (std::size_t c = row_begin; c < lane_idx.size();
-               c += batch_width)
-            chunks.push_back(
-                {vi, c, std::min(batch_width, lane_idx.size() - c)});
-        }
-        std::vector<Verdict> slot(need.size());
-        pool.ParallelFor(
-            static_cast<std::int64_t>(chunks.size()), 1,
-            [&](std::int64_t idx, int w) {
-              name_lane(w);
-              const EvalChunk& c = chunks[static_cast<std::size_t>(idx)];
-              obs::TraceSpan batch_span("sta.batch");
-              const std::span<const tech::DomainMask> chunk_masks(
-                  lane_masks.data() + c.begin, c.count);
-              const std::vector<sta::TimingReport> reps =
-                  worker_analyzer(w).AnalyzeBatch(opt.vdds[c.vi],
-                                                  design.clock_ns,
-                                                  chunk_masks, domain_of,
-                                                  &bca);
-              for (std::size_t l = 0; l < c.count; ++l)
-                slot[lane_idx[c.begin + l]] =
-                    Verdict{reps[l].feasible(), reps[l].wns_ns};
-            });
-        result.stats.sta_runs += static_cast<long>(need.size());
-        for (std::size_t i = 0; i < need.size(); ++i) {
-          verdicts.emplace(need[i], slot[i]);
-          if (store != nullptr)
-            store->Insert(store_ctx, bw, opt.vdds[need[i].first],
-                          need[i].second, slot[i].feasible,
-                          slot[i].wns_ns);
-        }
+      eval.Evaluate(bw, bca, need, &fresh);
+      for (std::size_t i = 0; i < need.size(); ++i) {
+        verdicts.emplace(need[i], fresh[i]);
+        if (fresh[i].from_store)
+          ++result.stats.store_hits;
+        else
+          ++result.stats.sta_runs;
       }
 
       // Candidate fold: every feasible verdict resolved this wave is
       // a real lattice point; fold them in demand order — which is
       // independent of where each verdict came from (STA, store or
       // carry), so warm and cold runs walk identical incumbents.
-      for (const PointKey& key : resolved) {
-        const Verdict& v = verdicts.find(key)->second;
+      for (const LatticePoint& key : resolved) {
+        const PointVerdict& v = verdicts.find(key)->second;
         if (!v.feasible) continue;
-        const double leak = MaskLeakageW(pmodel, dom_weight, ndom,
-                                         opt.vdds[key.first], key.second);
-        if (BetterThanIncumbent(key.first, key.second,
-                                dyn[key.first] + leak, inc)) {
+        const double leak = MaskLeakageW(plan.pmodel, plan.dom_weight, ndom,
+                                         opt.vdds[key.vi], key.mask);
+        if (BetterThanIncumbent(key.vi, key.mask, dyn[key.vi] + leak,
+                                inc)) {
           inc.valid = true;
-          inc.vi = key.first;
-          inc.mask = key.second;
+          inc.vi = key.vi;
+          inc.mask = key.mask;
           inc.wns_ns = v.wns_ns;
-          inc.dyn_w = dyn[key.first];
+          inc.dyn_w = dyn[key.vi];
           inc.leak_w = leak;
         }
       }
@@ -444,14 +278,14 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
         }
         const tech::DomainMask maxmask =
             n.mask | tail[static_cast<std::size_t>(n.depth)];
-        const Verdict& vmax = verdicts.find(PointKey{n.vi, maxmask})->second;
+        const PointVerdict& vmax = verdicts.find({n.vi, maxmask})->second;
         if (!vmax.feasible) {
           // Antitone feasibility: the subtree's fastest point fails,
           // so every point in it does.
           ++result.stats.nodes_pruned_infeasible;
           continue;
         }
-        const Verdict& vmin = verdicts.find(PointKey{n.vi, n.mask})->second;
+        const PointVerdict& vmin = verdicts.find({n.vi, n.mask})->second;
         if (vmin.feasible) {
           // Monotone leakage: the subtree optimum is exactly the
           // minimal mask — already folded as a candidate above.
@@ -463,9 +297,9 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
         const int d = perm[static_cast<std::size_t>(n.depth)];
         const tech::DomainMask m1 = n.mask | tech::MaskBit(d);
         const Node child1{n.vi, n.depth + 1, m1,
-                          dyn[n.vi] + MaskLeakageW(pmodel, dom_weight,
-                                                   ndom, opt.vdds[n.vi],
-                                                   m1)};
+                          dyn[n.vi] + MaskLeakageW(plan.pmodel,
+                                                   plan.dom_weight, ndom,
+                                                   opt.vdds[n.vi], m1)};
         if (Prunable(child1, inc))
           ++result.stats.nodes_pruned_bound;
         else
@@ -501,45 +335,19 @@ FrontierResult FrontierExplore(const ImplementedDesign& design,
     } else {
       ++result.stats.certified_modes;
     }
-    if (quality_finite)
-      mode.proved_max_abs_error = quality->ProvedMaxAbsError(bw);
     result.modes.push_back(mode);
 
     for (const auto& [key, v] : verdicts)
       if (!v.feasible) carried_infeasible.insert(key);
   }
 
-  if (quality_finite) {
-    // Static-prune off: the violating modes were searched anyway —
-    // replace them with the very placeholders the prune stage emits,
-    // so the modes list is bit-identical either way (the stats keep
-    // the full search cost, which is the point of the ablation).
-    if (!opt.static_prune) {
-      for (FrontierModeResult& m : result.modes) {
-        if (m.proved_max_abs_error > opt.quality_max_abs_error) {
-          FrontierModeResult repl;
-          repl.bitwidth = m.bitwidth;
-          repl.certified = true;
-          repl.proved_max_abs_error = m.proved_max_abs_error;
-          repl.statically_pruned = true;
-          m = repl;
-        }
-      }
-    }
-    if (!statically_pruned.empty()) {
-      result.stats.static_mode_prunes =
-          static_cast<long>(statically_pruned.size());
-      result.stats.certified_modes +=
-          static_cast<int>(statically_pruned.size());
-      for (FrontierModeResult& m : statically_pruned)
-        result.modes.push_back(std::move(m));
-      std::sort(result.modes.begin(), result.modes.end(),
-                [](const FrontierModeResult& a,
-                   const FrontierModeResult& b) {
-                  return a.bitwidth < b.bitwidth;
-                });
-    }
-  }
+  // Quality verdicts and static placeholders: a mode decided by its
+  // proved bound alone is certified — the proof is the certificate.
+  plan.FinishModes(result.modes);
+  for (FrontierModeResult& m : result.modes)
+    if (m.statically_pruned) m.certified = true;
+  result.stats.static_mode_prunes = static_cast<long>(plan.pruned.size());
+  result.stats.certified_modes += static_cast<int>(plan.pruned.size());
 
   RecordFrontierMetrics(
       result, std::chrono::duration<double>(

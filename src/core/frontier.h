@@ -34,36 +34,31 @@
 /// proved optimality gap (incumbent power minus the smallest open
 /// lower bound).
 ///
+/// Only the search lives here. The request (FrontierOptions derives
+/// from ExploreRequest), the prologue, the verdict path and the
+/// epilogue are the front end shared with the exhaustive engine
+/// (core/explore.h), so both engines key the persistent store alike
+/// and trade sta_runs for store_hits with bit-identical results.
+///
 /// Determinism: results are bit-identical at every worker count.
 /// Expansion proceeds in waves of a fixed (option-controlled, never
-/// thread-derived) width; the wave's verdict demands are deduplicated
-/// and evaluated into index-addressed slots on the pool, and all
-/// search-state mutation — incumbent updates, child generation, store
-/// write-back — happens serially in wave order.
-///
-/// The persistent exploration store (store/exploration_store.h) warm-
-/// starts the search: verdicts are keyed exactly like the exhaustive
-/// engine's (core::ExploreStoreKey), so the two engines and any fleet
-/// of worker processes sharing a store directory trade sta_runs for
-/// store_hits with bit-identical results.
+/// thread-derived) width; the wave's deduplicated verdict demands go
+/// through the shared VerdictEvaluator in one call, and all search
+/// state mutation — incumbent updates, child generation — happens
+/// serially in wave order.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/explore.h"
 #include "core/flow.h"
-#include "store/exploration_store.h"
 
 namespace adq::core {
 
-struct FrontierOptions {
-  /// Supply range, as in ExploreOptions.
-  std::vector<double> vdds = {1.0, 0.9, 0.8, 0.7, 0.6};
-  /// Accuracy modes (active bits); empty = 1 .. data_width.
-  std::vector<int> bitwidths;
-  int activity_cycles = 1024;
-  std::uint64_t seed = 7;
-  sim::StimulusKind stimulus = sim::StimulusKind::kCorrelated;
+/// The frontier's own search fields; everything else — supplies,
+/// modes, activity, batch width, workers, store, quality target,
+/// lint gate — is the shared ExploreRequest.
+struct FrontierOptions : ExploreRequest {
   /// Nodes expanded per wave. Fixed by this option — never derived
   /// from the worker count — so the search trajectory (and therefore
   /// the result, stats included) is bit-identical at any num_threads.
@@ -72,57 +67,26 @@ struct FrontierOptions {
   /// certificate). When the budget stops a mode early, its result
   /// carries certified = false and the proved gap_w.
   long node_budget = 0;
-  /// Lanes per batched STA call, as in ExploreOptions.
-  int batch_width = 8;
   /// Branch-order criticality probe: the slack window handed to
   /// core::AccuracyCriticality. 0 disables the probe (domains are
   /// decided in index order) — results stay identical, only the
   /// search trajectory (and node count) changes.
   double criticality_slack_window_ns = 0.05;
-  /// Worker threads evaluating each wave's STA batch; same contract
-  /// as ExploreOptions::num_threads (0 = hardware concurrency), and
-  /// like there every setting yields a bit-identical result.
-  int num_threads = 0;
-  /// Optional persistent exploration store; same contract as
-  /// ExploreOptions::store (bit-identical, trades sta_runs for
-  /// store_hits). The caller owns the store and its Flush().
-  store::ExplorationStore* store = nullptr;
-  /// Quality target and static-prune stage, exactly as in
-  /// ExploreOptions: analysis::AccuracyAnalyzer::ProvedMaxAbsError is
-  /// the admissible accuracy bound of the branch-and-bound — a mode
-  /// whose proved error bound already violates the target has an
-  /// empty feasible set, so its entire (VDD, mask) search tree is
-  /// discarded before a single node is opened (no simulation, no
-  /// STA, no criticality probe for that mode).
-  double quality_max_abs_error = std::numeric_limits<double>::infinity();
-  bool static_prune = true;
-  /// Signoff lint gate (core::SignoffLint), as in ExploreOptions: the
-  /// frontier engine vets the implemented netlist with exactly the
-  /// gate the exhaustive Flow path uses. kOff by default.
-  lint::LintGate lint = lint::LintGate::kOff;
 };
 
-/// Outcome of one accuracy mode's lattice search.
-struct FrontierModeResult {
-  int bitwidth = 0;
-  bool has_solution = false;
-  ExploredPoint best;
-  double switched_energy_fj = 0.0;
+/// Outcome of one accuracy mode's lattice search: the mode result
+/// both engines share plus the frontier's certificate.
+struct FrontierModeResult : ModeResult {
   /// True when the open frontier was exhausted: `best` is proved
-  /// optimal (exactly the exhaustive sweep's selection).
+  /// optimal (exactly the exhaustive sweep's selection). A statically
+  /// pruned mode is certified too — the empty feasible set is a
+  /// proof, not a budget artifact.
   bool certified = false;
   /// Proved optimality gap [W] when not certified: best.power minus
   /// the smallest lower bound still open. 0 when certified or when
   /// every open bound already exceeds the incumbent.
   double gap_w = 0.0;
   long nodes_expanded = 0;
-  /// Static accuracy verdict, as in ModeResult: the proved error
-  /// bound (populated when quality_max_abs_error is finite) and
-  /// whether it alone decided the mode. A statically pruned mode is
-  /// `certified` — the empty feasible set is a proof, not a budget
-  /// artifact.
-  double proved_max_abs_error = std::numeric_limits<double>::infinity();
-  bool statically_pruned = false;
 };
 
 struct FrontierStats {
@@ -144,7 +108,9 @@ struct FrontierResult {
   std::vector<FrontierModeResult> modes;  ///< one per requested bitwidth
   FrontierStats stats;
 
-  const FrontierModeResult& Mode(int bitwidth) const;
+  const FrontierModeResult& Mode(int bitwidth) const {
+    return FindMode(modes, bitwidth);
+  }
 
   /// Adapts the result into the exhaustive engine's shape so existing
   /// consumers (RuntimeController, pareto::Frontier, the lint mode

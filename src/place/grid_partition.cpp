@@ -77,7 +77,11 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
         recv = nb;
       }
     }
-    ADQ_CHECK_MSG(recv >= 0, "no neighboring Vth domain has spare capacity");
+    if (recv < 0)
+      throw LegalizationOverflow(
+          "domain " + std::to_string(worst) + " of the " + cfg.ToString() +
+          " grid is over capacity and no neighboring Vth domain has "
+          "spare capacity");
     const Point rc = tile_center(recv);
     // Move the cells of `worst` closest to the receiver until the
     // overflow (or the receiver's spare) is consumed.
@@ -105,8 +109,10 @@ void RebalanceDomains(const Netlist& nl, const tech::CellLibrary& lib,
   }
 #ifndef NDEBUG
   for (int d = 0; d < ndom; ++d)
-    ADQ_CHECK_MSG(used[(std::size_t)d] <= cap[(std::size_t)d] * 1.1,
-                  "domain " << d << " still over capacity after rebalance");
+    if (used[(std::size_t)d] > cap[(std::size_t)d] * 1.1)
+      throw LegalizationOverflow(
+          "domain " + std::to_string(d) + " of the " + cfg.ToString() +
+          " grid is still over capacity after rebalance");
 #endif
 }
 

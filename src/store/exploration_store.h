@@ -85,7 +85,7 @@ struct StoreStats {
 
 /// Thread-safe store handle over one directory. One process opens one
 /// handle per directory; the engines share it via
-/// ExploreOptions::store / FrontierOptions::store.
+/// ExploreRequest::store (both engines).
 class ExplorationStore {
  public:
   /// Opens (creating the directory if needed) and loads every

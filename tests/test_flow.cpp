@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string>
+
 #include "core/accuracy.h"
 #include "core/error_metrics.h"
 #include "core/flow.h"
@@ -145,6 +148,44 @@ TEST(Flow, GridBeyondTheDieIsARecoverableFlowError) {
       RunImplementationFlow(gen::BuildBoothOperator(16), Lib(), fopt)
           .num_domains(),
       4);
+}
+
+/// Grid-shape robustness under netlist_lint's configuration (the
+/// flow's own lint gate off, so nothing rejects a shape up front):
+/// every NX x NY grid with NX, NY in 1..16 either implements or is
+/// reported as a FlowError — never a failed check or an abort. One
+/// test per operator so a parallel ctest spreads the 3 x 256 flows.
+void ExpectEveryGridShapeImplementsOrReportsFlowError(
+    const gen::Operator& op) {
+  for (int nx = 1; nx <= 16; ++nx)
+    for (int ny = 1; ny <= 16; ++ny) {
+      FlowOptions fopt;
+      fopt.grid = {nx, ny};
+      fopt.lint = lint::LintGate::kOff;
+      try {
+        RunImplementationFlow(op, Lib(), fopt);
+      } catch (const FlowError&) {
+        // A recoverable rejection is an accepted outcome.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << op.spec.name << " on " << fopt.grid.ToString()
+                      << ": " << e.what();
+      }
+    }
+}
+
+TEST(FlowGridSweep, BoothEveryShapeImplementsOrReportsFlowError) {
+  ExpectEveryGridShapeImplementsOrReportsFlowError(
+      gen::BuildBoothOperator(4));
+}
+
+TEST(FlowGridSweep, ButterflyEveryShapeImplementsOrReportsFlowError) {
+  ExpectEveryGridShapeImplementsOrReportsFlowError(
+      gen::BuildButterflyOperator(4));
+}
+
+TEST(FlowGridSweep, FirEveryShapeImplementsOrReportsFlowError) {
+  ExpectEveryGridShapeImplementsOrReportsFlowError(
+      gen::BuildFirMacOperator(4));
 }
 
 }  // namespace

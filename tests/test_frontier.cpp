@@ -53,8 +53,8 @@ ExploreOptions MatchingExhaustive() {
   return opt;
 }
 
-/// Bit-identical comparison of two mode tables (the frontier
-/// certificate contract: ==, never near).
+/// Bit-identical comparison of two mode tables, every ModeResult
+/// field (the frontier certificate contract: ==, never near).
 void ExpectModesIdentical(const std::vector<FrontierModeResult>& got,
                           const std::vector<ModeResult>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -63,9 +63,13 @@ void ExpectModesIdentical(const std::vector<FrontierModeResult>& got,
     EXPECT_EQ(got[i].bitwidth, want[i].bitwidth);
     ASSERT_EQ(got[i].has_solution, want[i].has_solution);
     EXPECT_EQ(got[i].switched_energy_fj, want[i].switched_energy_fj);
-    if (!want[i].has_solution) continue;
+    EXPECT_EQ(got[i].proved_max_abs_error, want[i].proved_max_abs_error);
+    EXPECT_EQ(got[i].statically_pruned, want[i].statically_pruned);
+    EXPECT_EQ(got[i].best.bitwidth, want[i].best.bitwidth);
     EXPECT_EQ(got[i].best.vdd, want[i].best.vdd);
     EXPECT_EQ(got[i].best.mask, want[i].best.mask);
+    EXPECT_EQ(got[i].best.rbb_mask, want[i].best.rbb_mask);
+    EXPECT_EQ(got[i].best.feasible, want[i].best.feasible);
     EXPECT_EQ(got[i].best.wns_ns, want[i].best.wns_ns);
     EXPECT_EQ(got[i].best.power.dynamic_w, want[i].best.power.dynamic_w);
     EXPECT_EQ(got[i].best.power.leakage_w, want[i].best.power.leakage_w);
@@ -112,6 +116,44 @@ TEST(Frontier, CertificateMatchesExhaustiveAtAnyThreadCount) {
       EXPECT_EQ(m.gap_w, 0.0);
     }
     ExpectModesIdentical(fr.modes, oracle.modes);
+  }
+}
+
+TEST(Frontier, SharedRequestGivesBothEnginesIdenticalModes) {
+  // One ExploreRequest — a finite quality target and a store — drives
+  // both engines, with the static prune on and off. Every frontier
+  // mode is certified and equals the exhaustive mode field by field,
+  // the statically decided ones included.
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "frontier_shared_request_store";
+  fs::remove_all(dir);
+  store::ExplorationStore st(dir.string());
+  for (const bool prune : {true, false}) {
+    SCOPED_TRACE(prune ? "static_prune on" : "static_prune off");
+    ExploreRequest req;
+    req.bitwidths = {2, 4, 6, 8};
+    req.activity_cycles = 128;
+    // Booth-8 proved bounds: 16128, 3840, 768, 0 — {2, 4} violate.
+    req.quality_max_abs_error = 1000.0;
+    req.static_prune = prune;
+    req.store = &st;
+    ExploreOptions xopt;
+    static_cast<ExploreRequest&>(xopt) = req;
+    FrontierOptions fopt;
+    static_cast<ExploreRequest&>(fopt) = req;
+
+    const ExplorationResult ex = ExploreDesignSpace(Design22(), Lib(), xopt);
+    const FrontierResult fr = FrontierExplore(Design22(), Lib(), fopt);
+    for (const FrontierModeResult& m : fr.modes) EXPECT_TRUE(m.certified);
+    EXPECT_EQ(fr.stats.certified_modes, static_cast<int>(fr.modes.size()));
+    ExpectModesIdentical(fr.modes, ex.modes);
+    EXPECT_TRUE(ex.Mode(4).statically_pruned);
+    EXPECT_FALSE(ex.Mode(6).statically_pruned);
+    EXPECT_TRUE(ex.Mode(8).has_solution);
+    EXPECT_EQ(fr.stats.static_mode_prunes, ex.stats.static_mode_prunes);
+    EXPECT_EQ(ex.stats.static_mode_prunes, prune ? 2 : 0);
+    // The frontier ran second on the shared store.
+    EXPECT_GT(fr.stats.store_hits, 0);
   }
 }
 
