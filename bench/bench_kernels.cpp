@@ -9,6 +9,7 @@
 
 #include "common.h"
 #include "core/accuracy.h"
+#include "opt/buffering.h"
 #include "sim/activity.h"
 #include "sta/sta.h"
 
@@ -63,13 +64,21 @@ void BM_ActivityExtraction256(benchmark::State& state) {
 }
 BENCHMARK(BM_ActivityExtraction256);
 
-void BM_Placement(benchmark::State& state) {
-  const gen::Operator op = gen::BuildBoothOperator(16);
+// The netlist the flow's first placement sees: a 16-bit Table I
+// design after the fanout-bounding buffer trees.
+void BM_Placement(benchmark::State& state, const bench::DesignCase& c) {
+  gen::Operator op = c.build(16);
+  opt::BufferHighFanout(op.nl, 8);
   for (auto _ : state) {
     benchmark::DoNotOptimize(place::PlaceDesign(op.nl, bench::Lib(), {}));
   }
 }
-BENCHMARK(BM_Placement);
+BENCHMARK_CAPTURE(BM_Placement, booth, bench::kDesigns[0])
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Placement, butterfly, bench::kDesigns[1])
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Placement, fir, bench::kDesigns[2])
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExplorationBooth2x2(benchmark::State& state) {
   const auto& d = Booth22();

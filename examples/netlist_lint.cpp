@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                          ? gen::BuildArrayMultOperator(width)
                      : std::strcmp(which, "booth") == 0
                          ? gen::BuildBoothOperator(width)
-                         : gen::Operator{};
+                         : gen::Operator();
   if (op.spec.name.empty()) return Usage();
 
   const tech::CellLibrary lib;

@@ -591,9 +591,10 @@ void VerdictEvaluator::Evaluate(int bw, const netlist::CaseAnalysis& ca,
   pool_->ParallelFor(
       static_cast<std::int64_t>(chunks.size()), 1,
       [&](std::int64_t idx, int w) {
-        // Lane naming for the trace viewer: each pool thread registers
-        // its stable worker index once (worker 0 is the caller).
-        if (obs::TraceEnabled()) {
+        // Lane naming for the trace viewer and the profiler: each pool
+        // thread registers its stable worker index once (worker 0 is
+        // the caller).
+        if (obs::TraceEnabled() || obs::ProfilerEnabled()) {
           thread_local bool named = false;
           if (!named) {
             obs::NameThisThreadLane(lane_prefix_ + std::to_string(w));

@@ -1,6 +1,7 @@
 #include "place/placer.h"
 
 #include "netlist/topo.h"
+#include "place/wirelength.h"
 
 #include <algorithm>
 #include <cmath>
@@ -72,22 +73,8 @@ struct BBox {
     ylo = std::min(ylo, p.y);
     yhi = std::max(yhi, p.y);
   }
-  bool empty() const { return xhi < xlo; }
-  double hpwl() const { return empty() ? 0.0 : (xhi - xlo) + (yhi - ylo); }
   Point center() const { return {(xlo + xhi) / 2, (ylo + yhi) / 2}; }
 };
-
-BBox NetBox(const Netlist& nl, NetId id, const std::vector<Point>& cell_pos,
-            const std::vector<Point>& anchors) {
-  BBox box;
-  const netlist::Net& net = nl.net(id);
-  if (net.driver.valid())
-    box.Add(cell_pos[net.driver.inst.index()]);
-  if (net.is_primary_input || net.is_primary_output)
-    box.Add(anchors[id.index()]);
-  for (const netlist::PinRef& s : net.sinks) box.Add(cell_pos[s.inst.index()]);
-  return box;
-}
 
 }  // namespace
 
@@ -282,58 +269,103 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
   // This is a light-weight analytic-placement scheme in the spirit of
   // quadratic placement + look-ahead legalization.
   const std::size_t n_cells = nl.num_instances();
-  std::vector<std::uint32_t> by_x(n_cells), by_y(n_cells);
-  for (std::uint32_t i = 0; i < n_cells; ++i) by_x[i] = by_y[i] = i;
+  const std::size_t n_nets = nl.num_nets();
 
+  // Flat connectivity, built once per call. Net n's cells are
+  // net_cells[net_begin[n] .. net_begin[n + 1]): its driver (when
+  // net_driven[n]), then its sinks. Cell i's pin nets are
+  // pin_nets[pin_begin[i] .. pin_begin[i + 1]), inputs then outputs;
+  // pins on a net with no driver, anchor or sink (an empty box) are
+  // left out, so a cell whose range is empty has no live net.
+  std::vector<std::uint32_t> net_begin(n_nets + 1, 0);
+  std::vector<std::uint32_t> net_cells;
+  std::vector<std::uint8_t> net_driven(n_nets), net_anchored(n_nets);
+  for (std::uint32_t n = 0; n < n_nets; ++n) {
+    const netlist::Net& net = nl.nets()[n];
+    net_driven[n] = net.driver.valid();
+    net_anchored[n] = net.is_primary_input || net.is_primary_output;
+    if (net.driver.valid()) net_cells.push_back(net.driver.inst.value);
+    for (const netlist::PinRef& s : net.sinks)
+      net_cells.push_back(s.inst.value);
+    net_begin[n + 1] = static_cast<std::uint32_t>(net_cells.size());
+  }
+  auto live = [&](NetId id) {
+    const std::uint32_t n = id.value;
+    return net_anchored[n] || net_begin[n + 1] > net_begin[n];
+  };
+  std::vector<std::uint32_t> pin_begin(n_cells + 1, 0);
+  std::vector<std::uint32_t> pin_nets;
+  for (std::uint32_t i = 0; i < n_cells; ++i) {
+    const netlist::Instance& inst = nl.instances()[i];
+    for (int p = 0; p < inst.num_inputs(); ++p)
+      if (live(inst.in[p])) pin_nets.push_back(inst.in[p].value);
+    for (int o = 0; o < inst.num_outputs(); ++o)
+      if (live(inst.out[o])) pin_nets.push_back(inst.out[o].value);
+    pin_begin[i + 1] = static_cast<std::uint32_t>(pin_nets.size());
+  }
+
+  // Each pass computes every net's box centre once from the pre-pass
+  // positions (driver, port anchor, sinks), then moves each cell
+  // toward the average of its pin nets' centres, summed in pin order.
+  std::vector<Point> centre(n_nets);
   auto centroid_pass = [&](double damp) {
-    std::vector<Point> next = pl.pos;
+    for (std::uint32_t n = 0; n < n_nets; ++n) {
+      const std::uint32_t* c = net_cells.data() + net_begin[n];
+      const std::uint32_t* const end = net_cells.data() + net_begin[n + 1];
+      BBox box;
+      if (net_driven[n]) box.Add(pl.pos[*c++]);
+      if (net_anchored[n]) box.Add(pl.port_anchor[n]);
+      for (; c != end; ++c) box.Add(pl.pos[*c]);
+      centre[n] = box.center();
+    }
     for (std::uint32_t i = 0; i < n_cells; ++i) {
-      const netlist::Instance& inst = nl.instances()[i];
+      const int n = static_cast<int>(pin_begin[i + 1] - pin_begin[i]);
+      if (n == 0) continue;
       double sx = 0.0, sy = 0.0;
-      int n = 0;
-      auto accumulate = [&](NetId net_id) {
-        const BBox box = NetBox(nl, net_id, pl.pos, pl.port_anchor);
-        if (box.empty()) return;
-        const Point c = box.center();
+      for (std::uint32_t k = pin_begin[i]; k < pin_begin[i + 1]; ++k) {
+        const Point& c = centre[pin_nets[k]];
         sx += c.x;
         sy += c.y;
-        ++n;
-      };
-      for (int p = 0; p < inst.num_inputs(); ++p) accumulate(inst.in[p]);
-      for (int o = 0; o < inst.num_outputs(); ++o) accumulate(inst.out[o]);
-      if (n == 0) continue;
+      }
       const double gx = sx / n, gy = sy / n;
       // Blend the wirelength centroid with the bit-significance
       // anchor in y (structured-datapath placement).
       const double ay = sig[i] * pl.fp.height_um;
       const double ty = 0.65 * gy + 0.35 * ay;
-      next[i].x = std::clamp(pl.pos[i].x + damp * (gx - pl.pos[i].x), 0.0,
-                             pl.fp.width_um);
-      next[i].y = std::clamp(pl.pos[i].y + damp * (ty - pl.pos[i].y), 0.0,
-                             pl.fp.height_um);
+      pl.pos[i].x = std::clamp(pl.pos[i].x + damp * (gx - pl.pos[i].x), 0.0,
+                               pl.fp.width_um);
+      pl.pos[i].y = std::clamp(pl.pos[i].y + damp * (ty - pl.pos[i].y), 0.0,
+                               pl.fp.height_um);
     }
-    pl.pos = std::move(next);
   };
 
   // Rank spreading: each coordinate slides a fraction beta toward its
-  // uniform-density quantile position (order preserved per axis).
-  auto spread_pass = [&](double beta) {
-    std::sort(by_x.begin(), by_x.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return pl.pos[a].x < pl.pos[b].x;
-    });
-    std::sort(by_y.begin(), by_y.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return pl.pos[a].y < pl.pos[b].y;
-    });
+  // uniform-density quantile position (order preserved per axis). The
+  // sorts run on {coordinate, cell} pairs kept in the previous pass's
+  // order, so std::sort sees the same comparisons on the same input
+  // sequence as a sort of cell ids by position, ties included.
+  struct Keyed {
+    double key;
+    std::uint32_t id;
+  };
+  std::vector<Keyed> by_x(n_cells), by_y(n_cells);
+  for (std::uint32_t i = 0; i < n_cells; ++i) by_x[i].id = by_y[i].id = i;
+  auto spread_axis = [&](std::vector<Keyed>& order, double Point::*axis,
+                         double extent, double beta) {
+    for (Keyed& k : order) k.key = pl.pos[k.id].*axis;
+    std::sort(order.begin(), order.end(),
+              [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
     for (std::size_t r = 0; r < n_cells; ++r) {
       const double frac =
           (static_cast<double>(r) + 0.5) / static_cast<double>(n_cells);
-      const double qx = frac * pl.fp.width_um;
-      const double qy = frac * pl.fp.height_um;
-      Point& px = pl.pos[by_x[r]];
-      Point& py = pl.pos[by_y[r]];
-      px.x += beta * (qx - px.x);
-      py.y += beta * (qy - py.y);
+      const double q = frac * extent;
+      double& v = pl.pos[order[r].id].*axis;
+      v += beta * (q - v);
     }
+  };
+  auto spread_pass = [&](double beta) {
+    spread_axis(by_x, &Point::x, pl.fp.width_um, beta);
+    spread_axis(by_y, &Point::y, pl.fp.height_um, beta);
   };
 
   for (int it = 0; it < opt.centroid_iterations; ++it) {
@@ -353,7 +385,7 @@ Placement PlaceDesign(const Netlist& nl, const tech::CellLibrary& lib,
 double TotalHpwl(const Netlist& nl, const Placement& pl) {
   double total = 0.0;
   for (std::uint32_t n = 0; n < nl.num_nets(); ++n)
-    total += NetBox(nl, NetId(n), pl.pos, pl.port_anchor).hpwl();
+    total += NetHpwl(nl, pl, NetId(n));
   return total;
 }
 

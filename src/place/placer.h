@@ -10,6 +10,15 @@
 /// anchored at the periphery) followed by row legalization — simple,
 /// deterministic, and good enough to give wirelength and locality the
 /// right trends.
+///
+/// PlaceDesign flattens the connectivity once per call into CSR
+/// arrays (net -> cells, driver then sinks, plus a port-anchor flag;
+/// cell -> pin nets, inputs then outputs) that live only for the call.
+/// Each centroid pass computes every net's bounding-box centre once
+/// from the pre-pass positions, so no cell's move depends on another's
+/// in the same pass, and averages them per cell in pin order; each
+/// spreading pass sorts {coordinate, cell} pairs kept in the previous
+/// pass's order.
 
 #include <stdexcept>
 #include <string>

@@ -748,6 +748,45 @@ TEST_F(ObsTest, ProfilerOverheadIsSmall) {
               base, prof, overhead * 100.0);
   EXPECT_LT(overhead, 0.50);
 }
+
+TEST_F(ObsTest, ProfileOnlyExplorationNamesWorkerLanes) {
+  // With the profiler on and tracing off (a `--profile`-only run), the
+  // exploration pool still names its threads, so the folded stacks
+  // have `explore worker N` roots instead of booking every sample to
+  // `main`.
+  core::FlowOptions fopt;
+  fopt.grid = {2, 2};
+  const core::ImplementedDesign d = core::RunImplementationFlow(
+      gen::BuildBoothOperator(8), bench::Lib(), fopt);
+  core::ExploreOptions xopt;
+  xopt.num_threads = 4;
+  xopt.activity_cycles = 128;
+  StopProfiler();
+  ResetProfiler();
+  ASSERT_FALSE(TraceEnabled());
+  ProfilerOptions popt;
+  popt.hz = 997;
+  ASSERT_TRUE(StartProfiler(popt));
+  // Worker 0 is the calling thread and a lane is named once per
+  // thread, so the exploration runs on a helper thread: the test's
+  // main thread keeps its `main` lane for the other tests. One
+  // exploration takes milliseconds, so it repeats until the sampler
+  // has seen enough CPU time.
+  std::thread([&] {
+    for (int rep = 0; rep < 500 && GetProfilerStats().samples < 40; ++rep)
+      core::ExploreDesignSpace(d, bench::Lib(), xopt);
+  }).join();
+  StopProfiler();
+  const std::string folded = FoldedProfile();
+  ResetProfiler();
+  long worker_roots = 0;
+  std::istringstream in(folded);
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("explore_worker_", 0) == 0) ++worker_roots;
+  EXPECT_GT(worker_roots, 0) << folded.substr(0, 2000);
+}
+
 #endif  // !ADQ_TEST_TSAN
 
 TEST_F(ObsTest, PushProfSpanBalancesOnlyWhenItPushed) {

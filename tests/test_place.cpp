@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "gen/operator.h"
+#include "opt/buffering.h"
 #include "place/grid_partition.h"
 #include "place/placer.h"
 #include "place/wirelength.h"
@@ -81,6 +85,92 @@ TEST(Placer, BeatsRandomPlacementOnHpwl) {
   bad.centroid_iterations = 0;  // random + legalize only
   const Placement rnd = PlaceDesign(op.nl, Lib(), bad);
   EXPECT_LT(TotalHpwl(op.nl, pl), 0.8 * TotalHpwl(op.nl, rnd));
+}
+
+// FNV-1a over the exact bits of every cell position and of the total
+// HPWL: the placer is deterministic, so any change to its arithmetic
+// (e.g. the order in which net centres are summed) moves the digest.
+std::uint64_t PlacementDigest(const netlist::Netlist& nl,
+                              const Placement& pl) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Point& p : pl.pos) {
+    mix(p.x);
+    mix(p.y);
+  }
+  mix(TotalHpwl(nl, pl));
+  return h;
+}
+
+TEST(Placer, TableIDesignsPlaceBitForBit) {
+  // The 16-bit Table I designs as the flow places them: after the
+  // fanout-bounding buffer trees. Digests pin the placer's output.
+  struct Case {
+    gen::Operator (*build)(int);
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {&gen::BuildBoothOperator, 0xbe6a0a994c593cd6ull},
+      {&gen::BuildButterflyOperator, 0x019209d1a302fd08ull},
+      {&gen::BuildFirMacOperator, 0xd67a0c8f1fb2df28ull},
+  };
+  for (const Case& c : cases) {
+    gen::Operator op = c.build(16);
+    opt::BufferHighFanout(op.nl, 8);
+    const Placement pl = PlaceDesign(op.nl, Lib(), {});
+    EXPECT_EQ(PlacementDigest(op.nl, pl), c.digest)
+        << op.nl.name() << " digest 0x" << std::hex
+        << PlacementDigest(op.nl, pl);
+  }
+}
+
+TEST(Placer, HandBuiltCornerCasesPlaceBitForBit) {
+  // Corner cases of the per-net centre computation:
+  //  - `g_twice` reads net `a` on both inputs, so `a` counts twice in
+  //    its average (and `a` lists the cell twice as a sink);
+  //  - the full adder has five pin nets, enough for the summation
+  //    order of their centres to show in the rounding;
+  //  - `p` is a port-only net (anchor, no cells), and `c` keeps its
+  //    reader's pin but loses its sink list, so its box is the port
+  //    anchor alone;
+  //  - the tie cell's output loses its driver record: its only net has
+  //    an empty box, so the cell has no live net and is not moved by
+  //    the centroid passes.
+  netlist::Netlist nl("corners");
+  const netlist::NetId a = nl.AddInputPort("a");
+  const netlist::NetId b = nl.AddInputPort("b");
+  const netlist::NetId c = nl.AddInputPort("c");
+  nl.AddInputPort("p");
+  const netlist::NetId g_twice = nl.AddGate(tech::CellKind::kAnd2, {a, a});
+  const netlist::NetId g_xor = nl.AddGate(tech::CellKind::kXor2, {a, b});
+  const netlist::NetId g_mix =
+      nl.AddGate(tech::CellKind::kNand2, {g_twice, g_xor});
+  const std::array<netlist::NetId, 2> fa = nl.AddCell(
+      tech::CellKind::kFa, tech::DriveStrength::kX1, {g_twice, b, g_xor});
+  const netlist::NetId g_c = nl.AddGate(tech::CellKind::kInv, {c});
+  const netlist::NetId tie = nl.ConstNet(false);
+  nl.AddOutputPort("y", g_mix);
+  nl.AddOutputPort("z", g_xor);
+  nl.AddOutputPort("w", g_c);
+  nl.AddOutputPort("s", fa[0]);
+  nl.AddOutputPort("co", fa[1]);
+  netlist::RawAccess raw(nl);
+  raw.net(c).sinks.clear();
+  raw.net(tie).driver = netlist::PinRef{};
+
+  PlacerOptions opt;
+  opt.seed = 5;
+  const Placement pl = PlaceDesign(nl, Lib(), opt);
+  ASSERT_EQ(pl.pos.size(), nl.num_instances());
+  EXPECT_EQ(PlacementDigest(nl, pl), 0xd099896120e426ecull)
+      << "digest 0x" << std::hex << PlacementDigest(nl, pl);
 }
 
 TEST(Partition, DegenerateSingleDomain) {
